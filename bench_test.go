@@ -176,6 +176,7 @@ func BenchmarkInterpNative(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := usher.RunNative(c.Prog, usher.RunOptions{}); err != nil {
@@ -194,6 +195,7 @@ func benchInterp(b *testing.B, cfg usher.Config) {
 		b.Fatal(err)
 	}
 	an := usher.MustAnalyze(c.Prog, cfg)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := an.Run(usher.RunOptions{}); err != nil {

@@ -20,6 +20,10 @@
 //	usherc main.c lib.c util.c            # multi-file module build
 //	usherc -workload parser               # use a generated benchmark as input
 //	usherc -stats prog.c                  # per-pipeline-pass timings and counters
+//
+// A run that records shadow violations — reads of shadow state the plan
+// never wrote, which make the plan's clean report untrustworthy —
+// prints each one and makes usherc exit 1.
 package main
 
 import (
@@ -54,6 +58,15 @@ func main() {
 	pf := bench.RegisterProfileFlags(flag.CommandLine)
 	sf := bench.RegisterSolverFlag(flag.CommandLine)
 	flag.Parse()
+
+	// Registered first so that it runs last, after the deferred stats
+	// report and profile writers.
+	violated := false
+	defer func() {
+		if violated {
+			os.Exit(1)
+		}
+	}()
 	if err := sf.Validate(); err != nil {
 		fatal(err)
 	}
@@ -125,7 +138,7 @@ func main() {
 		return
 	}
 	if *compare {
-		compareConfigs(prog, sc)
+		violated = compareConfigs(prog, sc)
 		return
 	}
 	cfg, err := parseConfig(*configName)
@@ -146,11 +159,11 @@ func main() {
 		return
 	}
 	res, err := an.Run(usher.RunOptions{})
+	reportRun(res, cfg)
 	if err != nil {
-		reportRun(res, cfg)
 		fatal(err)
 	}
-	reportRun(res, cfg)
+	violated = len(res.ShadowViolations) > 0
 }
 
 // readModuleFiles loads each path as one module whose name is the base
@@ -233,22 +246,38 @@ func reportRun(res *interp.Result, cfg usher.Config) {
 		res.Exit, res.Steps, res.ShadowProps, res.ShadowChecks, bench.Overhead(res))
 	if len(res.ShadowWarnings) == 0 {
 		fmt.Printf("%s: no uses of undefined values detected\n", cfg)
+	} else {
+		fmt.Printf("%s: %d uses of undefined values:\n", cfg, len(res.ShadowWarnings))
+		for _, w := range res.ShadowWarnings {
+			fmt.Printf("  %s\n", w)
+		}
+	}
+	reportViolations(res, cfg)
+}
+
+// reportViolations prints the run's shadow violations, if any.
+func reportViolations(res *interp.Result, cfg usher.Config) {
+	if len(res.ShadowViolations) == 0 {
 		return
 	}
-	fmt.Printf("%s: %d uses of undefined values:\n", cfg, len(res.ShadowWarnings))
-	for _, w := range res.ShadowWarnings {
-		fmt.Printf("  %s\n", w)
+	fmt.Printf("%s: %d shadow violations (the plan read shadow state it never wrote):\n", cfg, len(res.ShadowViolations))
+	for _, v := range res.ShadowViolations {
+		fmt.Printf("  %s\n", v)
 	}
 }
 
-func compareConfigs(prog *ir.Program, sc *stats.Collector) {
+// compareConfigs prints every configuration's figures side by side,
+// then the violations of the runs that recorded any. It reports whether
+// one did.
+func compareConfigs(prog *ir.Program, sc *stats.Collector) bool {
 	native, err := usher.RunNative(prog, usher.RunOptions{})
 	if err != nil {
 		fatal(err)
 	}
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "config\tstatic-props\tstatic-checks\tdyn-props\tdyn-checks\toverhead%\twarnings")
+	fmt.Fprintln(tw, "config\tstatic-props\tstatic-checks\tdyn-props\tdyn-checks\toverhead%\twarnings\tviolations")
 	s := usher.NewSessionObserved(prog, sc)
+	var runs []*interp.Result
 	for _, cfg := range usher.Configs {
 		an, err := s.Analyze(cfg)
 		if err != nil {
@@ -259,12 +288,19 @@ func compareConfigs(prog *ir.Program, sc *stats.Collector) {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%.0f\t%d\n",
+		runs = append(runs, res)
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%.0f\t%d\t%d\n",
 			cfg, st.Props, st.Checks, res.ShadowProps, res.ShadowChecks,
-			bench.Overhead(res), len(res.ShadowWarnings))
+			bench.Overhead(res), len(res.ShadowWarnings), len(res.ShadowViolations))
 	}
-	fmt.Fprintf(tw, "native\t-\t-\t-\t-\t0\t%d (oracle)\n", len(native.OracleWarnings))
+	fmt.Fprintf(tw, "native\t-\t-\t-\t-\t0\t%d (oracle)\t-\n", len(native.OracleWarnings))
 	tw.Flush()
+	violated := false
+	for i, res := range runs {
+		reportViolations(res, usher.Configs[i])
+		violated = violated || len(res.ShadowViolations) > 0
+	}
+	return violated
 }
 
 // fatal renders err on stderr and exits non-zero. Structured diagnostics

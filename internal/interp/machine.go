@@ -155,9 +155,12 @@ func (e *RuntimeError) Error() string {
 
 // Machine executes one program.
 type Machine struct {
-	prog      *ir.Program
-	opts      Options
-	globals   map[*ir.Object]*Instance
+	prog    *ir.Program
+	opts    Options
+	globals map[*ir.Object]*Instance
+	// code holds the code instance of every function whose address the
+	// run has taken, so that function values compare by identity.
+	code      map[*ir.Function]*Instance
 	res       *Result
 	oracle    map[Site]bool
 	shadowM   *shadowMachine
@@ -165,6 +168,10 @@ type Machine struct {
 	ninput    int
 	depth     int
 	cellsLeft int64
+
+	// frames[d] is the activation record of every call at depth d+1,
+	// reused from one call to the next so that a call allocates nothing.
+	frames []*frame
 
 	// curFn and curIn track the instruction being executed, so that an
 	// unexpected panic can be wrapped with its location (see trap).
@@ -198,6 +205,7 @@ func Run(prog *ir.Program, fnName string, args []Value, opts Options) (*Result, 
 		prog:      prog,
 		opts:      opts,
 		globals:   make(map[*ir.Object]*Instance),
+		code:      make(map[*ir.Function]*Instance),
 		res:       &Result{},
 		oracle:    make(map[Site]bool),
 		cellsLeft: opts.MaxCells,
@@ -208,10 +216,6 @@ func Run(prog *ir.Program, fnName string, args []Value, opts Options) (*Result, 
 	}
 	if len(args) != len(fn.Params) {
 		return m.res, fmt.Errorf("interp: %s takes %d args, got %d", fnName, len(fn.Params), len(args))
-	}
-	defs := make([]bool, len(args))
-	for i := range defs {
-		defs[i] = true
 	}
 	var exit Value
 	// Global allocation runs under the trap too: an over-budget global
@@ -234,8 +238,11 @@ func Run(prog *ir.Program, fnName string, args []Value, opts Options) (*Result, 
 		if opts.Shadow != nil {
 			m.shadowM = newShadowMachine(m, opts.Shadow)
 		}
-		v, _ := m.call(fn, args, defs)
-		exit = v
+		fr := m.frameFor(fn)
+		for i, p := range fn.Params {
+			fr.set(p, args[i], true)
+		}
+		exit, _ = m.exec(fr)
 	})
 	m.res.Exit = exit
 	m.res.canonicalize()
@@ -308,7 +315,10 @@ func (m *Machine) diag(format string, args ...any) {
 	}
 }
 
-// frame is one activation.
+// frame is one activation record. The machine keeps one per call depth
+// and reuses it for every call at that depth: its files are sized for
+// the callee on entry and cleared on return, so a frame waiting for its
+// next call holds no pointers that could keep dead instances alive.
 type frame struct {
 	fn   *ir.Function
 	regs []Value
@@ -317,6 +327,8 @@ type frame struct {
 	// allocation site may execute several times per activation (e.g.
 	// inside a loop), so every instance is kept and dies at return.
 	stacks []*Instance
+	// shadowFrame is the activation's shadow state under a plan.
+	shadowFrame
 }
 
 // eval resolves an operand within a frame, returning its value and
@@ -326,9 +338,9 @@ func (m *Machine) eval(fr *frame, v ir.Value) (Value, bool) {
 	case *ir.Const:
 		return IntVal(v.Val), true
 	case *ir.FuncValue:
-		return FuncVal(v.Fn), true
+		return Value{Kind: KindFunc, Inst: m.codeOf(v.Fn)}, true
 	case *ir.GlobalAddr:
-		return AddrVal(m.globals[v.Obj], 0), true
+		return addrVal(m.globals[v.Obj], 0), true
 	case *ir.Register:
 		return fr.regs[v.ID], fr.defs[v.ID]
 	}
@@ -336,33 +348,62 @@ func (m *Machine) eval(fr *frame, v ir.Value) (Value, bool) {
 	return Value{}, false
 }
 
+// codeOf returns fn's code instance, making it on first use. Code
+// instances take no sequence number and no cells, so taking a function's
+// address leaves every address and memory figure of the run unchanged.
+func (m *Machine) codeOf(fn *ir.Function) *Instance {
+	inst := m.code[fn]
+	if inst == nil {
+		inst = &Instance{fn: fn}
+		m.code[fn] = inst
+	}
+	return inst
+}
+
 func (fr *frame) set(r *ir.Register, v Value, defined bool) {
 	fr.regs[r.ID] = v
 	fr.defs[r.ID] = defined
 }
 
-// call executes fn and returns its result value and definedness.
-func (m *Machine) call(fn *ir.Function, args []Value, argDefs []bool) (Value, bool) {
+// frameFor returns the activation record of the next call depth, sized
+// for fn and holding no values yet; the caller fills in the parameters
+// and starts it with exec.
+func (m *Machine) frameFor(fn *ir.Function) *frame {
+	if m.depth == len(m.frames) {
+		m.frames = append(m.frames, &frame{})
+	}
+	fr := m.frames[m.depth]
+	n := fn.NumRegs()
+	if cap(fr.regs) < n {
+		fr.regs, fr.defs = make([]Value, n), make([]bool, n)
+		if m.shadowM != nil {
+			fr.sregs = make([]sbit, n)
+		}
+	}
+	fr.regs, fr.defs = fr.regs[:n], fr.defs[:n]
+	if m.shadowM != nil {
+		fr.sregs = fr.sregs[:n]
+		if fr.fn != fn {
+			fr.fp, fr.items = m.shadowM.planOf(fn)
+		}
+	}
+	fr.fn = fn
+	return fr
+}
+
+// exec runs the activation prepared by frameFor and returns its result
+// value and definedness. A trap unwinds past it without restoring the
+// depth or the frame, which is safe because a trap ends the run.
+func (m *Machine) exec(fr *frame) (Value, bool) {
 	m.depth++
 	if m.depth > m.opts.MaxDepth {
-		m.fail(fn, fn.Pos, "call stack overflow (depth %d)", m.depth)
-	}
-	defer func() { m.depth-- }()
-
-	fr := &frame{
-		fn:   fn,
-		regs: make([]Value, fn.NumRegs()),
-		defs: make([]bool, fn.NumRegs()),
-	}
-	for i, p := range fn.Params {
-		fr.set(p, args[i], argDefs[i])
+		m.fail(fr.fn, fr.fn.Pos, "call stack overflow (depth %d)", m.depth)
 	}
 	if m.shadowM != nil {
 		m.shadowM.enter(fr)
-		defer m.shadowM.leave(fr)
 	}
 
-	block := fn.Entry()
+	block := fr.fn.Entry()
 	var prev *ir.Block
 	for {
 		next, retV, retD, returned := m.execBlock(fr, block, prev)
@@ -373,6 +414,12 @@ func (m *Machine) call(fn *ir.Function, args []Value, argDefs []bool) (Value, bo
 			for _, inst := range fr.stacks {
 				inst.Freed = true
 			}
+			clear(fr.regs)
+			clear(fr.defs)
+			clear(fr.sregs)
+			clear(fr.stacks)
+			fr.stacks = fr.stacks[:0]
+			m.depth--
 			return retV, retD
 		}
 		prev, block = block, next
@@ -432,12 +479,12 @@ func (m *Machine) execBlock(fr *frame, b *ir.Block, prev *ir.Block) (next *ir.Bl
 			m.execBinOp(fr, in)
 		case *ir.Load:
 			addr := m.checkAddr(fr, in, in.Addr, "load")
-			cell := addr.Inst.Cells[addr.Off]
+			cell := &addr.Inst.Cells[addr.Int]
 			fr.set(in.Dst, cell.Val, cell.Defined)
 		case *ir.Store:
 			addr := m.checkAddr(fr, in, in.Addr, "store")
 			v, d := m.eval(fr, in.Val)
-			addr.Inst.Cells[addr.Off] = Cell{Val: v, Defined: d}
+			addr.Inst.Cells[addr.Int] = Cell{Val: v, Defined: d}
 		case *ir.MemSet:
 			m.execMemSet(fr, in)
 		case *ir.MemCopy:
@@ -447,7 +494,7 @@ func (m *Machine) execBlock(fr *frame, b *ir.Block, prev *ir.Block) (next *ir.Bl
 			if base.Kind != KindAddr {
 				m.fail(fr.fn, in.Pos(), "fieldaddr of non-pointer %s", base)
 			}
-			fr.set(in.Dst, AddrVal(base.Addr.Inst, base.Addr.Off+in.Off), d)
+			fr.set(in.Dst, addrVal(base.Inst, base.Int+int64(in.Off)), d)
 		case *ir.IndexAddr:
 			base, bd := m.eval(fr, in.Base)
 			idx, id := m.eval(fr, in.Idx)
@@ -457,7 +504,7 @@ func (m *Machine) execBlock(fr *frame, b *ir.Block, prev *ir.Block) (next *ir.Bl
 			if idx.Kind != KindInt {
 				m.fail(fr.fn, in.Pos(), "indexaddr with non-integer index %s", idx)
 			}
-			fr.set(in.Dst, AddrVal(base.Addr.Inst, base.Addr.Off+int(idx.Int)), bd && id)
+			fr.set(in.Dst, addrVal(base.Inst, base.Int+idx.Int), bd && id)
 		case *ir.Call:
 			m.execCall(fr, in)
 		case *ir.Ret:
@@ -507,20 +554,19 @@ func (m *Machine) step(fr *frame, in ir.Instr) {
 
 // checkAddr evaluates a pointer operand of a critical memory operation,
 // recording oracle warnings for undefined pointers and trapping on invalid
-// accesses.
-func (m *Machine) checkAddr(fr *frame, in ir.Instr, op ir.Value, what string) Address {
-	v, d := m.eval(fr, op)
+// accesses. The address it returns is non-null and in bounds.
+func (m *Machine) checkAddr(fr *frame, in ir.Instr, op ir.Value, what string) Value {
+	a, d := m.eval(fr, op)
 	if !d {
 		m.oracleWarn(fr.fn, in, what+" through undefined pointer")
 	}
-	if v.Kind != KindAddr || v.Addr.IsNull() {
-		m.fail(fr.fn, in.Pos(), "%s through invalid pointer %s", what, v)
+	if a.Kind != KindAddr || a.isNull() {
+		m.fail(fr.fn, in.Pos(), "%s through invalid pointer %s", what, a)
 	}
-	a := v.Addr
 	if a.Inst.Freed {
 		m.fail(fr.fn, in.Pos(), "%s through freed memory %s", what, a)
 	}
-	if a.Off < 0 || a.Off >= len(a.Inst.Cells) {
+	if a.Int < 0 || a.Int >= int64(len(a.Inst.Cells)) {
 		m.fail(fr.fn, in.Pos(), "%s out of bounds: %s (size %d)", what, a, len(a.Inst.Cells))
 	}
 	return a
@@ -547,8 +593,8 @@ func (m *Machine) rangeLen(fr *frame, in ir.Instr, op ir.Value, what string) int
 // cell is touched, so adversarial lengths trap immediately instead of
 // writing until they run off the object. After it passes, the intrinsic's
 // work is bounded by the instance size (itself bounded by MaxCells).
-func (m *Machine) checkRange(fr *frame, in ir.Instr, a Address, n int, what string) {
-	if n > 0 && a.Off+n > len(a.Inst.Cells) {
+func (m *Machine) checkRange(fr *frame, in ir.Instr, a Value, n int, what string) {
+	if n > 0 && int(a.Int)+n > len(a.Inst.Cells) {
 		m.fail(fr.fn, in.Pos(), "%s out of bounds: %s + %d cells (size %d)", what, a, n, len(a.Inst.Cells))
 	}
 }
@@ -577,8 +623,9 @@ func (m *Machine) execMemSet(fr *frame, in *ir.MemSet) {
 	// checked: memset with an undefined value only becomes an error at a
 	// later critical use of the range.
 	v, d := m.eval(fr, in.Val)
-	for i := 0; i < n; i++ {
-		to.Inst.Cells[to.Off+i] = Cell{Val: v, Defined: d}
+	cells := to.Inst.Cells[to.Int : to.Int+int64(n)]
+	for i := range cells {
+		cells[i] = Cell{Val: v, Defined: d}
 	}
 }
 
@@ -589,14 +636,10 @@ func (m *Machine) execMemCopy(fr *frame, in *ir.MemCopy) {
 	m.checkRange(fr, in, from, n, "memcopy source")
 	m.checkRange(fr, in, to, n, "memcopy")
 	m.chargeCells(fr, in, n)
-	if n == 0 {
-		return
-	}
-	// Buffer the source range so overlapping memmove-style copies are
-	// safe; values and definedness bits move together, MSan-style.
-	buf := make([]Cell, n)
-	copy(buf, from.Inst.Cells[from.Off:from.Off+n])
-	copy(to.Inst.Cells[to.Off:to.Off+n], buf)
+	// Values and definedness bits move together, MSan-style; copy has
+	// memmove semantics, so overlapping ranges within one instance come
+	// out as a buffered copy would leave them.
+	copy(to.Inst.Cells[to.Int:to.Int+int64(n)], from.Inst.Cells[from.Int:from.Int+int64(n)])
 }
 
 func (m *Machine) execAlloc(fr *frame, in *ir.Alloc) {
@@ -614,7 +657,7 @@ func (m *Machine) execAlloc(fr *frame, in *ir.Alloc) {
 	if in.Obj.Kind == ir.ObjStack {
 		fr.stacks = append(fr.stacks, inst)
 	}
-	fr.set(in.Dst, AddrVal(inst, 0), true)
+	fr.set(in.Dst, addrVal(inst, 0), true)
 }
 
 func (m *Machine) execBinOp(fr *frame, in *ir.BinOp) {
@@ -683,10 +726,10 @@ func coerceInt(v Value) Value {
 	case KindInt:
 		return v
 	case KindAddr:
-		if v.Addr.IsNull() {
+		if v.isNull() {
 			return IntVal(0)
 		}
-		return IntVal(int64(v.Addr.Inst.Seq)<<16 + int64(v.Addr.Off) + 1)
+		return IntVal(int64(v.Inst.Seq)<<16 + v.Int + 1)
 	default:
 		return IntVal(1)
 	}
@@ -708,11 +751,11 @@ func (m *Machine) execCall(fr *frame, in *ir.Call) {
 		if !d {
 			m.oracleWarn(fr.fn, in, "free of undefined pointer")
 		}
-		if v.Kind == KindAddr && !v.Addr.IsNull() {
-			if v.Addr.Inst.Freed {
-				m.diag("%s: double free of %s", in.Pos(), v.Addr)
+		if v.Kind == KindAddr && !v.isNull() {
+			if v.Inst.Freed {
+				m.diag("%s: double free of %s", in.Pos(), v)
 			}
-			v.Addr.Inst.Freed = true
+			v.Inst.Freed = true
 		}
 		return
 	case ir.BuiltinPrint:
@@ -736,10 +779,10 @@ func (m *Machine) execCall(fr *frame, in *ir.Call) {
 		if !d {
 			m.oracleWarn(fr.fn, in, "indirect call through undefined pointer")
 		}
-		if v.Kind != KindFunc || v.Fn == nil {
+		if v.Kind != KindFunc || v.Inst == nil {
 			m.fail(fr.fn, in.Pos(), "indirect call through non-function %s", v)
 		}
-		callee = v.Fn
+		callee = v.Inst.fn
 	}
 	if !callee.HasBody {
 		// External function: returns a defined zero, like a modelled
@@ -752,18 +795,20 @@ func (m *Machine) execCall(fr *frame, in *ir.Call) {
 		}
 		return
 	}
-	args := make([]Value, len(in.Args))
-	defs := make([]bool, len(in.Args))
-	for i, a := range in.Args {
-		args[i], defs[i] = m.eval(fr, a)
+	if len(in.Args) != len(callee.Params) {
+		m.fail(fr.fn, in.Pos(), "call to %s with %d args, want %d", callee.Name, len(in.Args), len(callee.Params))
 	}
-	if len(args) != len(callee.Params) {
-		m.fail(fr.fn, in.Pos(), "call to %s with %d args, want %d", callee.Name, len(args), len(callee.Params))
+	// Arguments are evaluated straight into the callee's parameter
+	// registers.
+	cf := m.frameFor(callee)
+	for i, a := range in.Args {
+		v, d := m.eval(fr, a)
+		cf.set(callee.Params[i], v, d)
 	}
 	if m.shadowM != nil {
-		m.shadowM.beforeCall(fr, in, callee)
+		m.shadowM.passArgs(fr, in, cf)
 	}
-	v, d := m.call(callee, args, defs)
+	v, d := m.exec(cf)
 	if in.Dst != nil {
 		fr.set(in.Dst, v, d)
 	}

@@ -35,11 +35,13 @@ func (s sbit) String() string {
 	}
 }
 
-// shadowFrame holds register shadows for one activation.
+// shadowFrame is the shadow half of an activation record: its
+// function's plan and item table, and its register shadows. Like the
+// rest of the frame it is reused by every call at its depth.
 type shadowFrame struct {
 	fp    *instrument.FnPlan
-	regs  []sbit
 	items [][]instrument.Item // label-indexed, shared per function
+	sregs []sbit
 }
 
 // shadowMachine executes the planned shadow statements alongside the
@@ -48,16 +50,14 @@ type shadowMachine struct {
 	m    *Machine
 	plan *instrument.Plan
 
-	frames []*shadowFrame
-
 	// itemTables caches each function's items as a slice indexed by
 	// instruction label, avoiding a map lookup per executed instruction.
 	itemTables map[*ir.Function][][]instrument.Item
 
-	// pendingArgs carry argument shadows across a call boundary (the
-	// paper's σ_g relay); pendingRet carries the return shadow back.
-	pendingArgs []sbit
-	pendingRet  sbit
+	// pendingRet carries the return shadow back across a call boundary
+	// (the paper's σ_g relay); argument shadows go straight into the
+	// callee's frame (passArgs).
+	pendingRet sbit
 
 	warned map[Site]bool
 }
@@ -104,7 +104,15 @@ func (sm *shadowMachine) itemsFor(fn *ir.Function, fp *instrument.FnPlan) [][]in
 	return t
 }
 
-func (sm *shadowMachine) top() *shadowFrame { return sm.frames[len(sm.frames)-1] }
+// planOf returns fn's plan and label-indexed item table (nil, nil when
+// the plan does not cover fn).
+func (sm *shadowMachine) planOf(fn *ir.Function) (*instrument.FnPlan, [][]instrument.Item) {
+	fp := sm.plan.FnPlanOf(fn)
+	if fp == nil {
+		return nil, nil
+	}
+	return fp, sm.itemsFor(fn, fp)
+}
 
 func (sm *shadowMachine) violation(format string, args ...any) {
 	if len(sm.m.res.ShadowViolations) < 100 {
@@ -115,17 +123,17 @@ func (sm *shadowMachine) violation(format string, args ...any) {
 // shadowOf evaluates the shadow of an operand. Constants, function
 // addresses and global addresses are always defined; unshadowed registers
 // are statically known defined.
-func (sm *shadowMachine) shadowOf(sf *shadowFrame, v ir.Value) sbit {
+func (sm *shadowMachine) shadowOf(fr *frame, v ir.Value) sbit {
 	r, ok := v.(*ir.Register)
 	if !ok {
 		return sT
 	}
-	if sf.fp == nil || !sf.fp.Shadowed(r) {
+	if fr.fp == nil || !fr.fp.Shadowed(r) {
 		return sT
 	}
-	s := sf.regs[r.ID]
+	s := fr.sregs[r.ID]
 	if s == sUninit {
-		sm.violation("read of uninitialized register shadow σ(%s) in %s", r, sf.fp.Fn.Name)
+		sm.violation("read of uninitialized register shadow σ(%s) in %s", r, fr.fp.Fn.Name)
 		return sT
 	}
 	return s
@@ -134,63 +142,59 @@ func (sm *shadowMachine) shadowOf(sf *shadowFrame, v ir.Value) sbit {
 // cellShadow returns a pointer to the shadow of one memory cell, creating
 // the (uninitialized) shadow array on first touch.
 func (sm *shadowMachine) cellShadow(inst *Instance, off int) *sbit {
+	cells := sm.shadowCells(inst)
+	if off < 0 || off >= len(cells) {
+		return nil
+	}
+	return &cells[off]
+}
+
+// shadowCells returns inst's cell shadows, creating them (uninitialized)
+// on first touch.
+func (sm *shadowMachine) shadowCells(inst *Instance) []sbit {
 	if inst.shadow == nil {
 		inst.shadow = make([]sbit, len(inst.Cells))
 	}
-	if off < 0 || off >= len(inst.shadow) {
-		return nil
-	}
-	return &inst.shadow[off]
+	return inst.shadow
 }
 
-// enter pushes a shadow frame for a new activation and applies the
-// parameter rules ([⊤-Para]/[⊥-Para]).
-func (sm *shadowMachine) enter(fr *frame) {
-	fp := sm.plan.FnPlanOf(fr.fn)
-	sf := &shadowFrame{fp: fp, regs: make([]sbit, fr.fn.NumRegs())}
-	sm.frames = append(sm.frames, sf)
-	if fp == nil {
-		sm.pendingArgs = nil
-		return
-	}
-	sf.items = sm.itemsFor(fr.fn, fp)
-	for i, prm := range fr.fn.Params {
-		switch {
-		case i < len(fp.ParamSetT) && fp.ParamSetT[i]:
-			sf.regs[prm.ID] = sT
-		case i < len(fp.ParamRecv) && fp.ParamRecv[i]:
-			s := sT
-			if i < len(sm.pendingArgs) {
-				s = sm.pendingArgs[i]
-			}
-			sf.regs[prm.ID] = s
-			sm.m.res.ShadowProps++ // σ(a) := σ_g
-		}
-	}
-	sm.pendingArgs = nil
-}
-
-// leave pops the activation's shadow frame.
-func (sm *shadowMachine) leave(fr *frame) {
-	sm.frames = sm.frames[:len(sm.frames)-1]
-}
-
-// beforeCall stages argument shadows for an internal call.
-func (sm *shadowMachine) beforeCall(fr *frame, in *ir.Call, callee *ir.Function) {
-	sf := sm.top()
-	calleeFP := sm.plan.FnPlanOf(callee)
+// passArgs relays an internal call's argument shadows into the callee's
+// parameter shadows (σ_g := σ(y_i)), reading them in the caller before
+// the callee starts.
+func (sm *shadowMachine) passArgs(caller *frame, in *ir.Call, callee *frame) {
 	sm.pendingRet = sT
-	sm.pendingArgs = nil
-	if calleeFP == nil {
+	fp := callee.fp
+	if fp == nil {
 		return
 	}
 	for i, a := range in.Args {
-		s := sT
-		if i < len(calleeFP.ParamRecv) && calleeFP.ParamRecv[i] {
-			s = sm.shadowOf(sf, a)
+		if i < len(fp.ParamRecv) && fp.ParamRecv[i] {
+			callee.sregs[callee.fn.Params[i].ID] = sm.shadowOf(caller, a)
 			sm.m.res.ShadowProps++ // σ_g := σ(y_i)
 		}
-		sm.pendingArgs = append(sm.pendingArgs, s)
+	}
+}
+
+// enter applies the parameter rules ([⊤-Para]/[⊥-Para]) to a new
+// activation whose relayed argument shadows passArgs has written.
+func (sm *shadowMachine) enter(fr *frame) {
+	fp := fr.fp
+	if fp == nil {
+		return
+	}
+	for i, prm := range fr.fn.Params {
+		switch {
+		case i < len(fp.ParamSetT) && fp.ParamSetT[i]:
+			fr.sregs[prm.ID] = sT
+		case i < len(fp.ParamRecv) && fp.ParamRecv[i]:
+			// A relayed shadow is T or F. Only the run's entry function,
+			// which has no caller to relay from, finds it unset, and its
+			// arguments are defined.
+			if fr.sregs[prm.ID] == sUninit {
+				fr.sregs[prm.ID] = sT
+			}
+			sm.m.res.ShadowProps++ // σ(a) := σ_g
+		}
 	}
 }
 
@@ -199,9 +203,8 @@ func (sm *shadowMachine) beforeCall(fr *frame, in *ir.Call, callee *ir.Function)
 // whose runtime target is external would leave the result's shadow
 // uninitialized.
 func (sm *shadowMachine) externalCallResult(fr *frame, in *ir.Call) {
-	sf := sm.top()
-	if sf.fp != nil && sf.fp.Shadowed(in.Dst) {
-		sf.regs[in.Dst.ID] = sT
+	if fr.fp != nil && fr.fp.Shadowed(in.Dst) {
+		fr.sregs[in.Dst.ID] = sT
 	}
 }
 
@@ -210,9 +213,8 @@ func (sm *shadowMachine) afterCallReturn(fr *frame, in *ir.Call) {
 	if in.Dst == nil {
 		return
 	}
-	sf := sm.top()
-	if sf.fp != nil && sf.fp.Shadowed(in.Dst) {
-		sf.regs[in.Dst.ID] = sm.pendingRet
+	if fr.fp != nil && fr.fp.Shadowed(in.Dst) {
+		fr.sregs[in.Dst.ID] = sm.pendingRet
 	}
 }
 
@@ -222,13 +224,12 @@ func (sm *shadowMachine) afterCallReturn(fr *frame, in *ir.Call) {
 // assign simultaneously, and a swap pattern (x, y = y, x) would otherwise
 // read an already-updated shadow.
 func (sm *shadowMachine) phiShadow(fr *frame, phi *ir.Phi, predIdx int) (sbit, bool) {
-	sf := sm.top()
-	if sf.fp == nil || phi.Label() >= len(sf.items) {
+	if fr.fp == nil || phi.Label() >= len(fr.items) {
 		return sT, false
 	}
-	for _, it := range sf.items[phi.Label()] {
+	for _, it := range fr.items[phi.Label()] {
 		if it.Kind == instrument.PropCompute && it.Dst == phi.Dst {
-			return sm.shadowOf(sf, phi.Vals[predIdx]), true
+			return sm.shadowOf(fr, phi.Vals[predIdx]), true
 		}
 	}
 	return sT, false
@@ -236,32 +237,30 @@ func (sm *shadowMachine) phiShadow(fr *frame, phi *ir.Phi, predIdx int) (sbit, b
 
 // setPhiShadow applies a shadow captured by phiShadow.
 func (sm *shadowMachine) setPhiShadow(fr *frame, phi *ir.Phi, s sbit) {
-	sf := sm.top()
-	if sf.fp == nil || !sf.fp.Shadowed(phi.Dst) {
+	if fr.fp == nil || !fr.fp.Shadowed(phi.Dst) {
 		return
 	}
-	sf.regs[phi.Dst.ID] = s
+	fr.sregs[phi.Dst.ID] = s
 	sm.m.res.ShadowProps++
 }
 
 // after executes the instrumentation items attached to in.
 func (sm *shadowMachine) after(fr *frame, in ir.Instr) {
-	sf := sm.top()
-	if sf.fp == nil {
+	if fr.fp == nil {
 		return
 	}
 	if _, isPhi := in.(*ir.Phi); isPhi {
 		return // handled by afterPhi
 	}
-	if l := in.Label(); l < len(sf.items) {
-		for _, it := range sf.items[l] {
-			sm.execItem(fr, sf, in, it)
+	if l := in.Label(); l < len(fr.items) {
+		for _, it := range fr.items[l] {
+			sm.execItem(fr, in, it)
 		}
 	}
 	// Return-shadow relay ([⊥-Ret]).
 	if ret, ok := in.(*ir.Ret); ok {
-		if sf.fp.RetSend && ret.Val != nil {
-			sm.pendingRet = sm.shadowOf(sf, ret.Val)
+		if fr.fp.RetSend && ret.Val != nil {
+			sm.pendingRet = sm.shadowOf(fr, ret.Val)
 			sm.m.res.ShadowProps++
 		} else {
 			sm.pendingRet = sT
@@ -269,45 +268,45 @@ func (sm *shadowMachine) after(fr *frame, in ir.Instr) {
 	}
 }
 
-func (sm *shadowMachine) execItem(fr *frame, sf *shadowFrame, in ir.Instr, it instrument.Item) {
+func (sm *shadowMachine) execItem(fr *frame, in ir.Instr, it instrument.Item) {
 	switch it.Kind {
 	case instrument.PropSetT:
-		sf.regs[it.Dst.ID] = sT
+		fr.sregs[it.Dst.ID] = sT
 		sm.m.res.ShadowProps++
 	case instrument.PropSetF:
-		sf.regs[it.Dst.ID] = sF
+		fr.sregs[it.Dst.ID] = sF
 		sm.m.res.ShadowProps++
 	case instrument.PropCompute:
 		s := sT
 		for _, src := range it.Srcs {
-			if sm.shadowOf(sf, src) == sF {
+			if sm.shadowOf(fr, src) == sF {
 				s = sF
 			}
 		}
-		sf.regs[it.Dst.ID] = s
+		fr.sregs[it.Dst.ID] = s
 		sm.m.res.ShadowProps++
 	case instrument.PropLoad:
 		ld := in.(*ir.Load)
 		addr, _ := sm.m.eval(fr, ld.Addr)
 		s := sT
-		if addr.Kind == KindAddr && !addr.Addr.IsNull() {
-			if cs := sm.cellShadow(addr.Addr.Inst, addr.Addr.Off); cs != nil {
+		if addr.Kind == KindAddr && !addr.isNull() {
+			if cs := sm.cellShadow(addr.Inst, int(addr.Int)); cs != nil {
 				s = *cs
 				if s == sUninit {
 					sm.violation("load of uninitialized cell shadow at %s (l%d in %s)",
-						addr.Addr, in.Label(), fr.fn.Name)
+						addr, in.Label(), fr.fn.Name)
 					s = sT
 				}
 			}
 		}
-		sf.regs[it.Dst.ID] = s
+		fr.sregs[it.Dst.ID] = s
 		sm.m.res.ShadowProps++
 	case instrument.PropStore:
 		st := in.(*ir.Store)
 		addr, _ := sm.m.eval(fr, st.Addr)
-		if addr.Kind == KindAddr && !addr.Addr.IsNull() {
-			if cs := sm.cellShadow(addr.Addr.Inst, addr.Addr.Off); cs != nil {
-				*cs = sm.shadowOf(sf, it.Val)
+		if addr.Kind == KindAddr && !addr.isNull() {
+			if cs := sm.cellShadow(addr.Inst, int(addr.Int)); cs != nil {
+				*cs = sm.shadowOf(fr, it.Val)
 			}
 		}
 		sm.m.res.ShadowProps++
@@ -320,8 +319,8 @@ func (sm *shadowMachine) execItem(fr *frame, sf *shadowFrame, in ir.Instr, it in
 		case *ir.Alloc:
 			// Initialize the whole freshly allocated instance.
 			inst, _ := sm.m.eval(fr, in.Dst)
-			if inst.Kind == KindAddr && inst.Addr.Inst != nil {
-				target := inst.Addr.Inst
+			if inst.Kind == KindAddr && !inst.isNull() {
+				target := inst.Inst
 				cells := make([]sbit, len(target.Cells))
 				for i := range cells {
 					cells[i] = s
@@ -331,8 +330,8 @@ func (sm *shadowMachine) execItem(fr *frame, sf *shadowFrame, in ir.Instr, it in
 		case *ir.Store:
 			// Strong update of the stored-to cell ([⊤-Store_SU]).
 			addr, _ := sm.m.eval(fr, in.Addr)
-			if addr.Kind == KindAddr && !addr.Addr.IsNull() {
-				if cs := sm.cellShadow(addr.Addr.Inst, addr.Addr.Off); cs != nil {
+			if addr.Kind == KindAddr && !addr.isNull() {
+				if cs := sm.cellShadow(addr.Inst, int(addr.Int)); cs != nil {
 					*cs = s
 				}
 			}
@@ -345,42 +344,41 @@ func (sm *shadowMachine) execItem(fr *frame, sf *shadowFrame, in ir.Instr, it in
 		ms := in.(*ir.MemSet)
 		to, _ := sm.m.eval(fr, ms.To)
 		ln, _ := sm.m.eval(fr, ms.Len)
-		if to.Kind == KindAddr && !to.Addr.IsNull() {
-			s := sm.shadowOf(sf, it.Val)
+		if to.Kind == KindAddr && !to.isNull() {
+			s := sm.shadowOf(fr, it.Val)
 			for i := 0; i < int(ln.Int); i++ {
-				if cs := sm.cellShadow(to.Addr.Inst, to.Addr.Off+i); cs != nil {
+				if cs := sm.cellShadow(to.Inst, int(to.Int)+i); cs != nil {
 					*cs = s
 				}
 			}
 		}
 		sm.m.res.ShadowProps++
 	case instrument.MemShadowCopy:
-		// σ(*to+i) := σ(*from+i) over the requested range. The source
-		// shadows are buffered first so overlapping memmove ranges copy
-		// the pre-instruction shadows, mirroring the data copy.
+		// σ(*to+i) := σ(*from+i) over the requested range. The data copy
+		// has already run without trapping, so both ranges lie inside
+		// their instances; copy has memmove semantics, so overlapping
+		// ranges get the pre-instruction shadows, mirroring the data copy.
 		mc := in.(*ir.MemCopy)
 		to, _ := sm.m.eval(fr, mc.To)
 		from, _ := sm.m.eval(fr, mc.From)
 		ln, _ := sm.m.eval(fr, mc.Len)
-		n := int(ln.Int)
-		if n > 0 && to.Kind == KindAddr && !to.Addr.IsNull() &&
-			from.Kind == KindAddr && !from.Addr.IsNull() {
-			buf := make([]sbit, n)
-			for i := range buf {
-				s := sT
-				if cs := sm.cellShadow(from.Addr.Inst, from.Addr.Off+i); cs != nil {
-					s = *cs
-					if s == sUninit {
-						sm.violation("copy of uninitialized cell shadow at %s (l%d in %s)",
-							from.Addr, in.Label(), fr.fn.Name)
-						s = sT
-					}
+		n := ln.Int
+		if n > 0 && to.Kind == KindAddr && !to.isNull() &&
+			from.Kind == KindAddr && !from.isNull() {
+			src := sm.shadowCells(from.Inst)[from.Int : from.Int+n]
+			for _, s := range src {
+				if s == sUninit {
+					sm.violation("copy of uninitialized cell shadow at %s (l%d in %s)",
+						from, in.Label(), fr.fn.Name)
 				}
-				buf[i] = s
 			}
-			for i, s := range buf {
-				if cs := sm.cellShadow(to.Addr.Inst, to.Addr.Off+i); cs != nil {
-					*cs = s
+			dst := sm.shadowCells(to.Inst)[to.Int : to.Int+n]
+			copy(dst, src)
+			// Every cell of dst now holds a source shadow, so an
+			// uninitialized one came from the source: it lands as T.
+			for i, s := range dst {
+				if s == sUninit {
+					dst[i] = sT
 				}
 			}
 		}
@@ -388,7 +386,7 @@ func (sm *shadowMachine) execItem(fr *frame, sf *shadowFrame, in ir.Instr, it in
 	case instrument.CheckVal:
 		for _, v := range it.Srcs {
 			sm.m.res.ShadowChecks++
-			if sm.shadowOf(sf, v) == sF {
+			if sm.shadowOf(fr, v) == sF {
 				sm.shadowWarn(fr, in)
 			}
 		}

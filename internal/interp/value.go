@@ -22,7 +22,7 @@ import (
 )
 
 // ValueKind discriminates runtime values.
-type ValueKind int
+type ValueKind uint8
 
 // Value kinds. Undefined cells hold KindInt zero with Defined=false.
 const (
@@ -35,6 +35,10 @@ const (
 // abstract object (allocation site) may have many instances at run time —
 // the gap that makes strong updates unsound in general and motivates the
 // paper's semi-strong updates.
+//
+// A function value points at a code instance: one per function and run,
+// holding the function and no cells, so that a Value needs a single
+// reference field for both kinds of pointer.
 type Instance struct {
 	Obj   *ir.Object
 	Cells []Cell
@@ -43,6 +47,8 @@ type Instance struct {
 	// shadow holds the instrumentation's per-cell shadow bits, allocated
 	// lazily by the shadow machine.
 	shadow []sbit
+	// fn is the function of a code instance (nil for memory instances).
+	fn *ir.Function
 }
 
 func (i *Instance) String() string {
@@ -59,52 +65,37 @@ type Cell struct {
 	Defined bool
 }
 
-// Address is a pointer value: an instance plus a cell offset. A nil Inst
-// is the null pointer.
-type Address struct {
-	Inst *Instance
-	Off  int
-}
-
-// IsNull reports whether the address is the null pointer.
-func (a Address) IsNull() bool { return a.Inst == nil }
-
-func (a Address) String() string {
-	if a.IsNull() {
-		return "null"
-	}
-	return fmt.Sprintf("&%s+%d", a.Inst, a.Off)
-}
-
-// Value is a runtime value.
+// Value is a runtime value: 24 bytes with one pointer, so register files
+// and memory cells stay small and the garbage collector scans a single
+// word per value.
+//
+//   - KindInt: Int is the integer; Inst is nil.
+//   - KindAddr: Inst is the pointed-to instance (nil is the null pointer)
+//     and Int the cell offset within it.
+//   - KindFunc: Inst is the function's code instance; Int is 0.
 type Value struct {
-	Kind ValueKind
+	Inst *Instance
 	Int  int64
-	Addr Address
-	Fn   *ir.Function
+	Kind ValueKind
 }
 
 // IntVal makes an integer value.
 func IntVal(v int64) Value { return Value{Kind: KindInt, Int: v} }
 
-// AddrVal makes a pointer value.
-func AddrVal(inst *Instance, off int) Value {
-	return Value{Kind: KindAddr, Addr: Address{Inst: inst, Off: off}}
+// addrVal makes a pointer value.
+func addrVal(inst *Instance, off int64) Value {
+	return Value{Kind: KindAddr, Inst: inst, Int: off}
 }
 
-// FuncVal makes a function value.
-func FuncVal(fn *ir.Function) Value { return Value{Kind: KindFunc, Fn: fn} }
+// isNull reports whether v is the null pointer.
+func (v Value) isNull() bool { return v.Inst == nil }
 
 // Truthy reports whether the value is nonzero in a condition.
 func (v Value) Truthy() bool {
-	switch v.Kind {
-	case KindInt:
+	if v.Kind == KindInt {
 		return v.Int != 0
-	case KindAddr:
-		return !v.Addr.IsNull()
-	default:
-		return v.Fn != nil
 	}
+	return v.Inst != nil
 }
 
 func (v Value) String() string {
@@ -112,12 +103,15 @@ func (v Value) String() string {
 	case KindInt:
 		return fmt.Sprintf("%d", v.Int)
 	case KindAddr:
-		return v.Addr.String()
+		if v.isNull() {
+			return "null"
+		}
+		return fmt.Sprintf("&%s+%d", v.Inst, v.Int)
 	default:
-		if v.Fn == nil {
+		if v.Inst == nil {
 			return "func(nil)"
 		}
-		return "@" + v.Fn.Name
+		return "@" + v.Inst.fn.Name
 	}
 }
 
@@ -125,21 +119,13 @@ func (v Value) String() string {
 func equal(a, b Value) bool {
 	// Null pointers and integer zero compare equal (C null constants).
 	norm := func(v Value) Value {
-		if v.Kind == KindAddr && v.Addr.IsNull() {
+		if v.Kind == KindAddr && v.isNull() {
 			return IntVal(0)
 		}
 		return v
 	}
 	a, b = norm(a), norm(b)
-	if a.Kind != b.Kind {
-		return false
-	}
-	switch a.Kind {
-	case KindInt:
-		return a.Int == b.Int
-	case KindAddr:
-		return a.Addr == b.Addr
-	default:
-		return a.Fn == b.Fn
-	}
+	// An integer has no instance and a function value a zero Int, so
+	// struct equality covers all three kinds.
+	return a == b
 }

@@ -298,6 +298,10 @@ type RunResult struct {
 	ShadowProps  int64     `json:"shadow_props"`
 	ShadowChecks int64     `json:"shadow_checks"`
 	Warnings     []Warning `json:"warnings"`
+	// ShadowViolations are the run's reads of shadow state that the plan
+	// never wrote: the plan is ill-formed (§3.4), so a clean report
+	// cannot be trusted.
+	ShadowViolations []string `json:"shadow_violations,omitempty"`
 	// Error reports a trapped execution (division by zero, step budget,
 	// ...): a property of the submitted program, not a server failure.
 	Error string `json:"error,omitempty"`
@@ -558,6 +562,7 @@ func (s *Server) runPlan(an *usher.Analysis) *RunResult {
 		rr.ShadowProps = res.ShadowProps
 		rr.ShadowChecks = res.ShadowChecks
 		rr.Warnings = convertWarnings(res.ShadowWarnings)
+		rr.ShadowViolations = res.ShadowViolations
 	}
 	return rr
 }

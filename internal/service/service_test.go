@@ -3,12 +3,15 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/valueflow/usher/internal/workload"
 )
 
 const testSrc = `
@@ -392,5 +395,44 @@ func TestParseConfigAndLevel(t *testing.T) {
 	}
 	if _, err := ParseLevel("O9"); err == nil {
 		t.Error("ParseLevel accepted an unknown level")
+	}
+}
+
+// TestRunReportsShadowViolations submits a program whose Usher plan reads
+// cell shadows it never wrote (solver-small at O0+IM): the run must carry
+// the violations, and a clean program's answer must omit the field.
+func TestRunReportsShadowViolations(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	p, ok := workload.LargeByName("solver-small")
+	if !ok {
+		t.Fatal("no solver-small profile")
+	}
+	resp, ar := postAnalyze(t, ts.URL, AnalyzeRequest{Source: workload.GenerateLarge(p), Configs: []string{"usher"}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	run := ar.Configs[0].Run
+	if run == nil || len(run.ShadowViolations) == 0 {
+		t.Fatalf("run reports no shadow violations: %+v", run)
+	}
+	if !strings.Contains(run.ShadowViolations[0], "uninitialized cell shadow") {
+		t.Errorf("violation %q, want a read of an uninitialized cell shadow", run.ShadowViolations[0])
+	}
+
+	body, err := json.Marshal(AnalyzeRequest{Source: cleanSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := http.Post(ts.URL+"/analyze", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Body.Close()
+	answer, err := io.ReadAll(raw.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(answer), "shadow_violations") {
+		t.Errorf("clean answer carries shadow_violations:\n%s", answer)
 	}
 }

@@ -1,6 +1,7 @@
 package usher_test
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/valueflow/usher/internal/bench"
+	"github.com/valueflow/usher/internal/workload"
 )
 
 // buildTool compiles one command into a temp dir and returns its path.
@@ -38,10 +40,13 @@ func TestUshercCLI(t *testing.T) {
 		t.Fatalf("usherc -compare: %v\n%s", err, out)
 	}
 	text := string(out)
-	for _, want := range []string{"MSan", "Usher", "native", "overhead"} {
+	for _, want := range []string{"MSan", "Usher", "native", "overhead", "violations"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("compare output missing %q:\n%s", want, text)
 		}
+	}
+	if strings.Contains(text, "shadow violations") {
+		t.Errorf("compare reports shadow violations on a clean program:\n%s", text)
 	}
 
 	// A buggy program: the default (usher) config must report it and the
@@ -66,6 +71,28 @@ func TestUshercCLI(t *testing.T) {
 	// Unknown config must fail.
 	if out, err := exec.Command(bin, "-config", "bogus", "testdata/matrix.c").CombinedOutput(); err == nil {
 		t.Errorf("bogus config accepted:\n%s", out)
+	}
+
+	// An ill-formed plan: solver-small's Usher run at O0+IM reads cell
+	// shadows the plan never wrote. usherc must print each violation
+	// and exit 1, in both modes.
+	p, ok := workload.LargeByName("solver-small")
+	if !ok {
+		t.Fatal("no solver-small profile")
+	}
+	small := filepath.Join(t.TempDir(), "solver-small.c")
+	if err := os.WriteFile(small, []byte(workload.GenerateLarge(p)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"-level", "O0+IM", small}, {"-level", "O0+IM", "-compare", small}} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+			t.Errorf("usherc %v: err = %v, want exit status 1\n%s", args, err, out)
+		}
+		if !strings.Contains(string(out), "shadow violations") || !strings.Contains(string(out), "  load of uninitialized cell shadow at ") {
+			t.Errorf("usherc %v: violations not reported:\n%s", args, out)
+		}
 	}
 }
 
