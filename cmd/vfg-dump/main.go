@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"github.com/valueflow/usher"
@@ -182,25 +181,24 @@ func dumpMemSSA(prog *ir.Program, mem *memssa.Info) {
 }
 
 func dumpVFG(g *vfg.Graph, gm *vfg.Gamma) {
-	nodes := append([]*vfg.Node(nil), g.Nodes...)
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
-	for _, n := range nodes {
-		if n.Kind == vfg.NodeRootT || n.Kind == vfg.NodeRootF {
+	for i, n := range g.Nodes {
+		id := vfg.NodeID(i)
+		if vfg.IsRoot(id) {
 			continue
 		}
-		fmt.Printf("%s [%s]", n, gm.Of(n))
-		if len(n.Deps) > 0 {
+		fmt.Printf("%s [%s]", n, gm.Of(id))
+		if deps := g.Deps(id); len(deps) > 0 {
 			fmt.Print(" <- ")
-			for i, e := range n.Deps {
-				if i > 0 {
+			for j, e := range deps {
+				if j > 0 {
 					fmt.Print(", ")
 				}
-				fmt.Print(e.To)
+				fmt.Print(g.Nodes[e.To])
 				switch e.Kind {
 				case vfg.EdgeCall:
-					fmt.Printf(" (call l%d)", e.Site.Label())
+					fmt.Printf(" (call l%d)", g.Site(e.Site).Label())
 				case vfg.EdgeRet:
-					fmt.Printf(" (ret l%d)", e.Site.Label())
+					fmt.Printf(" (ret l%d)", g.Site(e.Site).Label())
 				}
 			}
 		}
@@ -211,16 +209,16 @@ func dumpVFG(g *vfg.Graph, gm *vfg.Gamma) {
 func dumpDOT(g *vfg.Graph, gm *vfg.Gamma) {
 	fmt.Println("digraph vfg {")
 	fmt.Println("  rankdir=BT;")
-	for _, n := range g.Nodes {
+	for i, n := range g.Nodes {
 		color := "black"
-		if gm.Of(n) == vfg.Bottom {
+		if gm.Of(vfg.NodeID(i)) == vfg.Bottom {
 			color = "red"
 		}
 		label := strings.ReplaceAll(n.String(), `"`, `'`)
-		fmt.Printf("  n%d [label=\"%s\", color=%s];\n", n.ID, label, color)
+		fmt.Printf("  n%d [label=\"%s\", color=%s];\n", i, label, color)
 	}
-	for _, n := range g.Nodes {
-		for _, e := range n.Deps {
+	for i := range g.Nodes {
+		for _, e := range g.Deps(vfg.NodeID(i)) {
 			style := "solid"
 			switch e.Kind {
 			case vfg.EdgeCall:
@@ -228,7 +226,7 @@ func dumpDOT(g *vfg.Graph, gm *vfg.Gamma) {
 			case vfg.EdgeRet:
 				style = "dotted"
 			}
-			fmt.Printf("  n%d -> n%d [style=%s];\n", n.ID, e.To.ID, style)
+			fmt.Printf("  n%d -> n%d [style=%s];\n", i, e.To, style)
 		}
 	}
 	fmt.Println("}")

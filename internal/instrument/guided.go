@@ -86,7 +86,7 @@ func Emit(name string, g *vfg.Graph, gm *vfg.Gamma, redirected int, opts GuidedO
 		gm:       gm,
 		plan:     plan,
 		opts:     opts,
-		demanded: make(map[int]bool),
+		demanded: make([]bool, len(g.Nodes)),
 		memsets:  make(map[ir.Instr]bool),
 		mfcCache: make(map[*ir.Register]*vfgopt.MFC),
 	}
@@ -97,7 +97,7 @@ func Emit(name string, g *vfg.Graph, gm *vfg.Gamma, redirected int, opts GuidedO
 	in.run()
 	res.MFCsSimplified = in.mfcSimplified
 	res.ChecksElided = in.checksElided
-	res.Demanded = len(in.demanded)
+	res.Demanded = in.ndemanded
 	return res
 }
 
@@ -107,8 +107,9 @@ type instrumenter struct {
 	plan *Plan
 	opts GuidedOptions
 
-	demanded map[int]bool
-	work     []*vfg.Node
+	demanded  []bool
+	ndemanded int
+	work      []vfg.NodeID
 	// memsets dedups MemSet items per allocation/store instruction.
 	memsets       map[ir.Instr]bool
 	mfcCache      map[*ir.Register]*vfgopt.MFC
@@ -116,20 +117,27 @@ type instrumenter struct {
 	checksElided  int
 }
 
-func (in *instrumenter) demand(n *vfg.Node) {
-	if n == nil || n.Kind == vfg.NodeRootT || n.Kind == vfg.NodeRootF {
+func (in *instrumenter) demand(n vfg.NodeID) {
+	if n == vfg.NoNode || vfg.IsRoot(n) || in.demanded[n] {
 		return
 	}
-	if in.demanded[n.ID] {
-		return
-	}
-	in.demanded[n.ID] = true
+	in.demanded[n] = true
+	in.ndemanded++
 	in.work = append(in.work, n)
 }
 
-func (in *instrumenter) demandDeps(n *vfg.Node) {
-	for _, e := range n.Deps {
+func (in *instrumenter) demandDeps(n vfg.NodeID) {
+	for _, e := range in.g.Deps(n) {
 		in.demand(e.To)
+	}
+}
+
+// demandMemDeps forwards demand to n's memory-version sources only.
+func (in *instrumenter) demandMemDeps(n vfg.NodeID) {
+	for _, e := range in.g.Deps(n) {
+		if in.g.Nodes[e.To].Kind == vfg.NodeMem {
+			in.demand(e.To)
+		}
 	}
 }
 
@@ -148,7 +156,7 @@ func (in *instrumenter) seedChecks() {
 		type cand struct {
 			instr ir.Instr
 			val   ir.Value
-			node  *vfg.Node
+			node  vfg.NodeID
 		}
 		var cands []cand
 		for _, b := range fn.Blocks {
@@ -178,7 +186,7 @@ func (in *instrumenter) seedChecks() {
 			// equals (through copies, field addresses, and operations
 			// whose other operands are ⊤). A check dominated by a check
 			// of the same representative is redundant.
-			byNode := make(map[*vfg.Node][]int)
+			byNode := make(map[vfg.NodeID][]int)
 			for i, c := range cands {
 				rep := in.defednessRep(c.val.(*ir.Register))
 				byNode[in.g.RegNode(rep)] = append(byNode[in.g.RegNode(rep)], i)
@@ -318,11 +326,11 @@ func (in *instrumenter) run() {
 // slot); allocation and strong-update memory versions get one strong
 // shadow write; pass-through memory versions forward the demand to their
 // sources ([⊤-Store_WU/SemiSU], [Phi], [VPara], [VRet]).
-func (in *instrumenter) processTop(n *vfg.Node) {
-	if n.Kind == vfg.NodeReg {
+func (in *instrumenter) processTop(n vfg.NodeID) {
+	if in.g.Nodes[n].Kind == vfg.NodeReg {
 		return // [⊤-Assign]/[⊤-Para]: σ is the constant T, no code needed
 	}
-	d := n.Mem
+	d := in.g.Nodes[n].Mem
 	switch d.Kind {
 	case memssa.DefEntryUndef:
 		return
@@ -341,21 +349,13 @@ func (in *instrumenter) processTop(n *vfg.Node) {
 			}
 			// [⊤-Store_WU/SemiSU]: rely on the incoming version's shadow
 			// being correct; forward the demand to the memory source.
-			for _, e := range n.Deps {
-				if e.To.Kind == vfg.NodeMem {
-					in.demand(e.To)
-				}
-			}
+			in.demandMemDeps(n)
 		case *ir.MemSet, *ir.MemCopy:
 			// [⊤-Intrinsic]: range chis are always weak updates (the range
 			// may not cover the object), so ⊤ means the written values AND
 			// the incoming version are defined — existing shadows already
 			// read T; forward the demand to the memory sources.
-			for _, e := range n.Deps {
-				if e.To.Kind == vfg.NodeMem {
-					in.demand(e.To)
-				}
-			}
+			in.demandMemDeps(n)
 		case *ir.Call:
 			// [VRet]: forward demand through the call.
 			in.demandDeps(n)
@@ -364,9 +364,10 @@ func (in *instrumenter) processTop(n *vfg.Node) {
 }
 
 // processBottom applies the ⊥ rules of Figure 7.
-func (in *instrumenter) processBottom(n *vfg.Node) {
-	if n.Kind == vfg.NodeMem {
-		d := n.Mem
+func (in *instrumenter) processBottom(n vfg.NodeID) {
+	nd := in.g.Nodes[n]
+	if nd.Kind == vfg.NodeMem {
+		d := nd.Mem
 		switch d.Kind {
 		case memssa.DefEntry, memssa.DefPhi:
 			// [VPara]/[Phi]: memory shadows live in the shadow map and
@@ -421,7 +422,7 @@ func (in *instrumenter) processBottom(n *vfg.Node) {
 	}
 
 	// ⊥ register.
-	r := n.Reg
+	r := nd.Reg
 	fp := in.plan.Fns[r.Fn]
 	if r.Def == nil {
 		// [⊥-Para]: receive the shadow from every call site.
@@ -471,8 +472,8 @@ func (in *instrumenter) processBottom(n *vfg.Node) {
 // simplification: when the register heads a non-trivial Must Flow-from
 // Closure, its shadow is computed directly from the closure's ⊥ sources,
 // skipping the interior propagations.
-func (in *instrumenter) emitCompute(fp *FnPlan, n *vfg.Node, label int, srcs []ir.Value) {
-	r := n.Reg
+func (in *instrumenter) emitCompute(fp *FnPlan, n vfg.NodeID, label int, srcs []ir.Value) {
+	r := in.g.Nodes[n].Reg
 	fp.setShadowed(r)
 	if in.opts.OptI {
 		m := in.mfcCache[r]

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"github.com/valueflow/usher/internal/ir"
 )
@@ -128,6 +129,34 @@ type FnPlan struct {
 	// RetSend marks functions that relay the shadow of their return value
 	// to call sites ([⊥-Ret]).
 	RetSend bool
+
+	// table holds Items indexed by label, built once by ItemTable.
+	tableOnce sync.Once
+	table     [][]Item
+}
+
+// ItemTable returns Items as a slice indexed by instruction label, nil
+// where a label has no items, so that executing a statement needs no map
+// lookup. It is built on first use and shared by every later caller,
+// concurrent ones included; Items must not change after that.
+func (fp *FnPlan) ItemTable() [][]Item {
+	fp.tableOnce.Do(func() {
+		max := -1
+		for _, b := range fp.Fn.Blocks {
+			for _, in := range b.Instrs {
+				if in.Label() > max {
+					max = in.Label()
+				}
+			}
+		}
+		fp.table = make([][]Item, max+1)
+		for label, items := range fp.Items {
+			if label >= 0 && label <= max {
+				fp.table[label] = items
+			}
+		}
+	})
+	return fp.table
 }
 
 // Shadowed reports whether register r carries a shadow variable.

@@ -50,10 +50,6 @@ type shadowMachine struct {
 	m    *Machine
 	plan *instrument.Plan
 
-	// itemTables caches each function's items as a slice indexed by
-	// instruction label, avoiding a map lookup per executed instruction.
-	itemTables map[*ir.Function][][]instrument.Item
-
 	// pendingRet carries the return shadow back across a call boundary
 	// (the paper's σ_g relay); argument shadows go straight into the
 	// callee's frame (passArgs).
@@ -64,10 +60,9 @@ type shadowMachine struct {
 
 func newShadowMachine(m *Machine, cfg *ShadowConfig) *shadowMachine {
 	sm := &shadowMachine{
-		m:          m,
-		plan:       cfg.Plan,
-		itemTables: make(map[*ir.Function][][]instrument.Item),
-		warned:     make(map[Site]bool),
+		m:      m,
+		plan:   cfg.Plan,
+		warned: make(map[Site]bool),
 	}
 	// Globals are defined at startup; MSan's runtime likewise maps the
 	// data segment to defined shadow.
@@ -81,29 +76,6 @@ func newShadowMachine(m *Machine, cfg *ShadowConfig) *shadowMachine {
 	return sm
 }
 
-// itemsFor returns the label-indexed item table of fn's plan.
-func (sm *shadowMachine) itemsFor(fn *ir.Function, fp *instrument.FnPlan) [][]instrument.Item {
-	if t, ok := sm.itemTables[fn]; ok {
-		return t
-	}
-	max := -1
-	for _, b := range fn.Blocks {
-		for _, in := range b.Instrs {
-			if in.Label() > max {
-				max = in.Label()
-			}
-		}
-	}
-	t := make([][]instrument.Item, max+1)
-	for label, items := range fp.Items {
-		if label >= 0 && label <= max {
-			t[label] = items
-		}
-	}
-	sm.itemTables[fn] = t
-	return t
-}
-
 // planOf returns fn's plan and label-indexed item table (nil, nil when
 // the plan does not cover fn).
 func (sm *shadowMachine) planOf(fn *ir.Function) (*instrument.FnPlan, [][]instrument.Item) {
@@ -111,7 +83,7 @@ func (sm *shadowMachine) planOf(fn *ir.Function) (*instrument.FnPlan, [][]instru
 	if fp == nil {
 		return nil, nil
 	}
-	return fp, sm.itemsFor(fn, fp)
+	return fp, fp.ItemTable()
 }
 
 func (sm *shadowMachine) violation(format string, args ...any) {

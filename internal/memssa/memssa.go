@@ -83,8 +83,12 @@ func (k DefKind) String() string {
 
 // Def is one SSA version of a MemVar within a function.
 type Def struct {
+	// ID numbers the def densely within its function: its index in
+	// FuncInfo.AllDefs. ID and Version are 32-bit so that a Def stays
+	// within 96 bytes.
+	ID      int32
+	Version int32
 	Var     MemVar
-	Version int
 	Kind    DefKind
 	Fn      *ir.Function
 	// Instr is the annotated instruction for chi defs.

@@ -35,9 +35,9 @@ func (info *Info) buildFunc(fn *ir.Function) {
 		inSet[v] = true
 	}
 
-	versions := make([]int, len(vars))
+	versions := make([]int32, len(vars))
 	newDef := func(v MemVar, kind DefKind) *Def {
-		d := &Def{Var: v, Version: versions[varIdx[v]], Kind: kind, Fn: fn}
+		d := &Def{ID: int32(len(fi.AllDefs)), Var: v, Version: versions[varIdx[v]], Kind: kind, Fn: fn}
 		versions[varIdx[v]]++
 		fi.AllDefs = append(fi.AllDefs, d)
 		return d

@@ -404,13 +404,9 @@ func (st *Store) Graph(topLevelOnly bool) (*vfg.Graph, error) {
 		if !g.Sealed() {
 			return nil, nil, fmt.Errorf("pipeline: vfg.Build returned an unsealed graph (store sharing invariant violated)")
 		}
-		edges := 0
-		for _, n := range g.Nodes {
-			edges += len(n.Deps)
-		}
 		return g, map[string]int64{
 			"nodes":           int64(len(g.Nodes)),
-			"edges":           int64(edges),
+			"edges":           int64(g.NumEdges()),
 			"semistrong_cuts": int64(g.SemiStrongCuts),
 		}, nil
 	})
@@ -577,7 +573,7 @@ func (st *Store) OptII() (*OptIIResult, error) {
 		// Opt IV routes the re-resolution through a cut-aware summary
 		// build: the cached cut-free summary cannot serve a cut (an edge
 		// removed inside a condensed region must split the region).
-		resolve := func(cut func(from, to *vfg.Node) bool) *vfg.Gamma {
+		resolve := func(cut func(from, to vfg.NodeID) bool) *vfg.Gamma {
 			if vfgsum.Enabled {
 				return vfgsum.ResolveCut(g, cut)
 			}

@@ -505,7 +505,11 @@ func (s *Server) analyze(req *AnalyzeRequest, deadline <-chan time.Time) (*Analy
 	} else {
 		s.cacheMisses.Add(1)
 	}
-	e.once.Do(e.build)
+	built := false
+	e.once.Do(func() {
+		built = true
+		e.build()
+	})
 	if e.err != nil {
 		// Compile errors are never cached: drop the entry so a corrected
 		// resubmission (or even the same source) starts clean.
@@ -514,7 +518,13 @@ func (s *Server) analyze(req *AnalyzeRequest, deadline <-chan time.Time) (*Analy
 		return nil, fail(http.StatusUnprocessableEntity, "compile: %v", e.err)
 	}
 
-	before := e.sc.Snapshot()
+	// The request that ran the build reports its frontend passes too: the
+	// entry's collector was empty until then. A coalesced waiter or a
+	// cache hit counts from here.
+	var before []stats.PassStats
+	if !built {
+		before = e.sc.Snapshot()
+	}
 	resp := &AnalyzeResponse{SchemaVersion: SchemaVersion, Key: key, CacheHit: hit, Modules: e.mods}
 	for i, cfg := range cfgs {
 		an, err := e.sess.Analyze(cfg)

@@ -436,3 +436,78 @@ func TestRunReportsShadowViolations(t *testing.T) {
 		t.Errorf("clean answer carries shadow_violations:\n%s", answer)
 	}
 }
+
+// TestAnalyzePhasesCountTriggeredBuild pins whose passes a response
+// lists: the request that builds a program reports its frontend passes
+// (parse through scalar) along with its analysis passes; a request that
+// coalesces onto another request's build, and a cache hit, report none
+// of the build's passes.
+func TestAnalyzePhasesCountTriggeredBuild(t *testing.T) {
+	s := New(Options{})
+	noRun := false
+	frontend := []string{"parse", "typecheck", "lower", "mem2reg", "verify", "scalar"}
+	passesOf := func(ar *AnalyzeResponse) map[string]bool {
+		m := make(map[string]bool)
+		for _, ps := range ar.Phases {
+			m[ps.Pass] = true
+		}
+		return m
+	}
+
+	req := &AnalyzeRequest{Source: testSrc, Run: &noRun}
+	first, herr := s.analyze(req, nil)
+	if herr != nil {
+		t.Fatal(herr)
+	}
+	got := passesOf(first)
+	for _, p := range append(frontend, "pointer", "vfg", "plan") {
+		if !got[p] {
+			t.Errorf("the building request lists no %s pass: %+v", p, first.Phases)
+		}
+	}
+	hit, herr := s.analyze(req, nil)
+	if herr != nil {
+		t.Fatal(herr)
+	}
+	if !hit.CacheHit || len(hit.Phases) != 0 {
+		t.Errorf("cache hit %v lists %d passes, want a hit with none: %+v", hit.CacheHit, len(hit.Phases), hit.Phases)
+	}
+
+	// Claim a new program's entry and start its build as a concurrent
+	// request would; a second request coalesces onto it mid-build.
+	level, err := ParseLevel("O0+IM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, resident := s.lookup(Key(level, cleanSrc), "request.c", cleanSrc, nil, level)
+	if resident {
+		t.Fatal("a fresh program is already cached")
+	}
+	done := make(chan *AnalyzeResponse, 1)
+	e.once.Do(func() {
+		go func() {
+			ar, herr := s.analyze(&AnalyzeRequest{Source: cleanSrc, Run: &noRun}, nil)
+			if herr != nil {
+				t.Error(herr)
+			}
+			done <- ar
+		}()
+		for s.coalesced.Load() == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		e.build()
+	})
+	waiter := <-done
+	if waiter == nil {
+		t.FailNow()
+	}
+	got = passesOf(waiter)
+	for _, p := range frontend {
+		if got[p] {
+			t.Errorf("a coalesced waiter lists the build's %s pass: %+v", p, waiter.Phases)
+		}
+	}
+	if !waiter.CacheHit || !got["plan"] {
+		t.Errorf("waiter: cache hit %v, passes %+v; want a hit that ran its own plan", waiter.CacheHit, waiter.Phases)
+	}
+}

@@ -16,7 +16,7 @@ import (
 
 // mulMarker finds the VFG node of the unique `x * K` marker in the
 // program; tests tag values of interest with distinct multipliers.
-func mulMarker(t *testing.T, irp *ir.Program, g *vfg.Graph, k int64) *vfg.Node {
+func mulMarker(t *testing.T, irp *ir.Program, g *vfg.Graph, k int64) vfg.NodeID {
 	t.Helper()
 	for _, fn := range irp.Funcs {
 		for _, b := range fn.Blocks {
@@ -27,7 +27,7 @@ func mulMarker(t *testing.T, irp *ir.Program, g *vfg.Graph, k int64) *vfg.Node {
 				}
 				if c, isConst := bin.Y.(*ir.Const); isConst && c.Val == k {
 					n := g.RegNode(bin.Dst)
-					if n == nil {
+					if n == vfg.NoNode {
 						t.Fatalf("marker *%d has no VFG node", k)
 					}
 					return n
@@ -36,7 +36,7 @@ func mulMarker(t *testing.T, irp *ir.Program, g *vfg.Graph, k int64) *vfg.Node {
 		}
 	}
 	t.Fatalf("no *%d marker in program", k)
-	return nil
+	return vfg.NoNode
 }
 
 // TestReachesCriticalEdgeCases drives both functions over zero-trip
@@ -101,7 +101,7 @@ int main(int c) {
 			reach := vfg.ReachesCritical(g)
 			for k, want := range tc.markers {
 				n := mulMarker(t, irp, g, k)
-				if got := reach[n.ID]; got != want {
+				if got := reach[n]; got != want {
 					t.Errorf("marker *%d: ReachesCritical = %v, want %v", k, got, want)
 				}
 			}
@@ -172,14 +172,14 @@ int main(int c) {
 					t.Fatal("print argument is not a register")
 				}
 				n := g.RegNode(r)
-				if n == nil {
+				if n == vfg.NoNode {
 					t.Fatal("print argument has no VFG node")
 				}
 				checked++
 				if gm.Of(n) != vfg.Bottom {
 					t.Error("u is ⊤ at print(u) despite the zero-trip path")
 				}
-				if !reach[n.ID] {
+				if !reach[n] {
 					t.Error("printed value does not reach a critical use")
 				}
 			}

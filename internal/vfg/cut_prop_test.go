@@ -16,9 +16,9 @@ import (
 // salt picks a different ~1/k slice of the edge space per iteration, so
 // the property sweep covers cuts of seed edges (from RootF), intra
 // edges, and interprocedural edges alike.
-func randomCut(salt, k int) func(from, to *vfg.Node) bool {
-	return func(from, to *vfg.Node) bool {
-		return (from.ID*2654435761+to.ID*40503+salt)%k == 0
+func randomCut(salt, k int) func(from, to vfg.NodeID) bool {
+	return func(from, to vfg.NodeID) bool {
+		return (int(from)*2654435761+int(to)*40503+salt)%k == 0
 	}
 }
 
@@ -32,24 +32,25 @@ func randomCut(salt, k int) func(from, to *vfg.Node) bool {
 //     result);
 //  3. cutting edges is monotone: an edge cut only removes ⊥ flows, so
 //     the cut ⊥ set is a subset of the uncut one.
-func checkCutEquivalence(t *testing.T, tag string, g *vfg.Graph, cut func(from, to *vfg.Node) bool) {
+func checkCutEquivalence(t *testing.T, tag string, g *vfg.Graph, cut func(from, to vfg.NodeID) bool) {
 	t.Helper()
 	uncut := vfg.Resolve(g)
 	viaCut := vfg.ResolveCut(g, cut)
 	viaWith := vfg.ResolveWith(g, vfg.ResolveOptions{Cut: cut})
 	viaSum := vfgsum.ResolveCut(g, cut)
-	for _, n := range g.Nodes {
+	for i, nd := range g.Nodes {
+		n := vfg.NodeID(i)
 		if viaCut.Of(n) != viaWith.Of(n) {
 			t.Fatalf("%s: node %v: ResolveCut %v, ResolveWith{Cut} %v",
-				tag, n, viaCut.Of(n), viaWith.Of(n))
+				tag, nd, viaCut.Of(n), viaWith.Of(n))
 		}
 		if viaCut.Of(n) != viaSum.Of(n) {
 			t.Fatalf("%s: node %v: dense cut %v, summary cut %v",
-				tag, n, viaCut.Of(n), viaSum.Of(n))
+				tag, nd, viaCut.Of(n), viaSum.Of(n))
 		}
 		if viaCut.Of(n) == vfg.Bottom && uncut.Of(n) == vfg.Top {
 			t.Fatalf("%s: node %v: ⊥ under the cut but ⊤ without it (cut added a flow)",
-				tag, n)
+				tag, nd)
 		}
 	}
 }
@@ -70,14 +71,15 @@ func TestResolveCutEquivalenceWorkloads(t *testing.T) {
 		}
 		// Degenerate cuts: nothing cut (must equal the plain resolution)
 		// and everything cut (⊥ must be empty — even seed edges are cut).
-		none := vfg.ResolveCut(g, func(from, to *vfg.Node) bool { return false })
+		none := vfg.ResolveCut(g, func(from, to vfg.NodeID) bool { return false })
 		plain := vfg.Resolve(g)
-		for _, n := range g.Nodes {
+		for i, nd := range g.Nodes {
+			n := vfg.NodeID(i)
 			if none.Of(n) != plain.Of(n) {
-				t.Fatalf("%s: node %v: empty cut diverges from plain resolution", name, n)
+				t.Fatalf("%s: node %v: empty cut diverges from plain resolution", name, nd)
 			}
 		}
-		all := vfg.ResolveCut(g, func(from, to *vfg.Node) bool { return true })
+		all := vfg.ResolveCut(g, func(from, to vfg.NodeID) bool { return true })
 		if all.BottomCount() != 0 {
 			t.Errorf("%s: cutting every edge left %d ⊥ nodes", name, all.BottomCount())
 		}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"github.com/valueflow/usher/internal/ir"
 )
 
 // Equivalence partitions VFG nodes into access-equivalence classes: nodes
@@ -14,15 +12,21 @@ import (
 // run once per class. This is the node-merging technique of Hardekopf &
 // Lin that the paper applies to its VFGs (§4.1).
 type Equivalence struct {
-	rep []int // node id -> representative node id
-	// classUsers[repID] is the union of the user edges of every class
-	// member (targets not remapped; push remaps).
-	classUsers map[int][]Edge
-	classes    int
+	rep []NodeID // node id -> representative node id
+	// The union of the user edges of every class member, in CSR form
+	// indexed by representative (targets not remapped; push remaps).
+	userStart []int32
+	users     []Edge
+	classes   int
 }
 
 // Rep returns the representative node id of n.
-func (eq *Equivalence) Rep(id int) int { return eq.rep[id] }
+func (eq *Equivalence) Rep(n NodeID) NodeID { return eq.rep[n] }
+
+// classUsers returns the users of the class represented by rep.
+func (eq *Equivalence) classUsers(rep NodeID) []Edge {
+	return eq.users[eq.userStart[rep]:eq.userStart[rep+1]]
+}
 
 // Classes returns the number of equivalence classes among mergeable
 // nodes.
@@ -34,56 +38,53 @@ func (eq *Equivalence) Merged(g *Graph) int { return len(g.Nodes) - eq.classes }
 // ComputeAccessEquivalence builds the partition. Root nodes are never
 // merged.
 func ComputeAccessEquivalence(g *Graph) *Equivalence {
-	eq := &Equivalence{
-		rep:        make([]int, len(g.Nodes)),
-		classUsers: make(map[int][]Edge),
-	}
-	byKey := make(map[string]int)
-	// Call-site identities must be global: instruction labels are only
-	// unique per function.
-	siteIDs := make(map[*ir.Call]int)
-	siteID := func(c *ir.Call) int {
-		if id, ok := siteIDs[c]; ok {
-			return id
-		}
-		id := len(siteIDs) + 1
-		siteIDs[c] = id
-		return id
-	}
-	for _, n := range g.Nodes {
-		if n.Kind == NodeRootT || n.Kind == NodeRootF {
-			eq.rep[n.ID] = n.ID
+	n := len(g.Nodes)
+	eq := &Equivalence{rep: make([]NodeID, n)}
+	byKey := make(map[string]NodeID)
+	for id := range g.Nodes {
+		v := NodeID(id)
+		if IsRoot(v) {
+			eq.rep[v] = v
 			eq.classes++
 			continue
 		}
-		key := depKey(n, siteID)
+		key := depKey(g, v)
 		if rep, ok := byKey[key]; ok {
-			eq.rep[n.ID] = rep
+			eq.rep[v] = rep
 		} else {
-			byKey[key] = n.ID
-			eq.rep[n.ID] = n.ID
+			byKey[key] = v
+			eq.rep[v] = v
 			eq.classes++
 		}
 	}
-	for _, n := range g.Nodes {
-		r := eq.rep[n.ID]
-		eq.classUsers[r] = append(eq.classUsers[r], n.Users...)
+	// Count, then fill each class's users in node order.
+	eq.userStart = make([]int32, n+1)
+	for id := range g.Nodes {
+		eq.userStart[eq.rep[id]+1] += int32(len(g.Users(NodeID(id))))
+	}
+	for v := 0; v < n; v++ {
+		eq.userStart[v+1] += eq.userStart[v]
+	}
+	eq.users = make([]Edge, eq.userStart[n])
+	next := make([]int32, n)
+	copy(next, eq.userStart[:n])
+	for id := range g.Nodes {
+		r := eq.rep[id]
+		next[r] += int32(copy(eq.users[next[r]:], g.Users(NodeID(id))))
 	}
 	return eq
 }
 
-// depKey canonically encodes a node's dependence edges.
-func depKey(n *Node, siteID func(*ir.Call) int) string {
-	parts := make([]string, len(n.Deps))
-	for i, e := range n.Deps {
-		site := -1
-		if e.Site != nil {
-			site = siteID(e.Site)
-		}
-		parts[i] = fmt.Sprintf("%d:%d:%d", e.To.ID, e.Kind, site)
+// depKey canonically encodes a node's dependence edges. Call-site ids are
+// global, so edges of different functions never collide.
+func depKey(g *Graph, v NodeID) string {
+	deps := g.Deps(v)
+	parts := make([]string, len(deps))
+	for i, e := range deps {
+		parts[i] = fmt.Sprintf("%d:%d:%d", e.To, e.Kind, e.Site)
 	}
 	sort.Strings(parts)
 	// Distinguish kinds so a register never merges with a memory version
 	// of a different function (harmless but confusing in reports).
-	return fmt.Sprintf("%d|%s", n.Kind, strings.Join(parts, ","))
+	return fmt.Sprintf("%d|%s", g.Nodes[v].Kind, strings.Join(parts, ","))
 }

@@ -33,17 +33,17 @@ type Gamma struct {
 	eq *Equivalence
 }
 
-// Of returns the state of n. Nodes unknown to the resolution (nil, or
-// created after it — impossible on sealed graphs) are conservatively ⊥.
-func (gm *Gamma) Of(n *Node) State {
-	if n == nil {
+// Of returns the state of node n. Nodes unknown to the resolution
+// (NoNode, or ids past the node count it ran against) are
+// conservatively ⊥.
+func (gm *Gamma) Of(n NodeID) State {
+	if n < 0 {
 		return Bottom
 	}
-	id := n.ID
 	if gm.eq != nil {
-		id = gm.eq.Rep(id)
+		n = gm.eq.Rep(n)
 	}
-	if id >= gm.n || gm.bottom.Has(id) {
+	if int(n) >= gm.n || gm.bottom.Has(int(n)) {
 		return Bottom
 	}
 	return Top
@@ -52,10 +52,7 @@ func (gm *Gamma) Of(n *Node) State {
 // OfValue returns the state of an operand: constants and addresses are ⊤.
 func (gm *Gamma) OfValue(v ir.Value) State {
 	if r, ok := v.(*ir.Register); ok {
-		if n, ok := gm.g.regNodes[r]; ok {
-			return gm.Of(n)
-		}
-		return Bottom // unmodelled register: be conservative
+		return gm.Of(gm.g.RegNode(r)) // an unmodelled register reads ⊥
 	}
 	return Top
 }
@@ -90,8 +87,8 @@ func (gm *Gamma) BottomCount() int {
 	}
 	// Under merging, ⊥ bits live on class representatives; count members.
 	n := 0
-	for _, node := range gm.g.Nodes {
-		if gm.Of(node) == Bottom {
+	for id := range gm.g.Nodes {
+		if gm.Of(NodeID(id)) == Bottom {
 			n++
 		}
 	}
@@ -115,7 +112,7 @@ type ResolveOptions struct {
 	// Cut filters dependence edges: an edge (from, to) for which it
 	// returns true is treated as replaced by from → T (Opt II's
 	// Algorithm 1 rewiring).
-	Cut func(from, to *Node) bool
+	Cut func(from, to NodeID) bool
 }
 
 // Resolve computes Γ by forward reachability from the F root along user
@@ -126,7 +123,7 @@ type ResolveOptions struct {
 func Resolve(g *Graph) *Gamma { return ResolveWith(g, ResolveOptions{}) }
 
 // ResolveCut is Resolve with an edge filter (see ResolveOptions.Cut).
-func ResolveCut(g *Graph, cut func(from, to *Node) bool) *Gamma {
+func ResolveCut(g *Graph, cut func(from, to NodeID) bool) *Gamma {
 	return ResolveWith(g, ResolveOptions{Cut: cut})
 }
 
@@ -147,56 +144,55 @@ func ResolveWith(g *Graph, opts ResolveOptions) *Gamma {
 	// Access-equivalence merging: resolve per class representative.
 	// Edge cuts key on individual nodes, so merging is disabled under
 	// them (Opt II re-resolution).
-	var eq *Equivalence
-	rep := func(n *Node) *Node { return n }
-	usersOf := func(n *Node) []Edge { return n.Users }
+	rep := func(n NodeID) NodeID { return n }
+	usersOf := g.Users
 	if opts.MergeEquivalent && cut == nil {
-		eq = ComputeAccessEquivalence(g)
+		eq := ComputeAccessEquivalence(g)
 		gm.eq = eq
-		rep = func(n *Node) *Node { return g.Nodes[eq.Rep(n.ID)] }
-		usersOf = func(n *Node) []Edge { return eq.classUsers[n.ID] }
+		rep = eq.Rep
+		usersOf = eq.classUsers
 	}
 
-	// Context ids: 0 = unknown, otherwise the graph's dense call-site id.
-	siteIDs, numSites := g.Sites()
-	numCtx := numSites + 1
+	// Context ids: 0 = unknown, otherwise the graph's dense call-site id,
+	// which every call and return edge carries.
+	numCtx := g.NumSites() + 1
 
 	type state struct {
-		node *Node
-		ctx  int
+		node NodeID
+		ctx  int32
 	}
 	// Visited sets: ctxUnknown subsumes every specific context. Reads on
 	// nil per-node context sets are fine (a nil *bitset.Set is empty).
 	visitedUnknown := bitset.New(nn)
 	visitedCtx := make([]*bitset.Set, nn)
-	seen := func(n *Node, ctx int) bool {
-		if visitedUnknown.Has(n.ID) {
+	seen := func(n NodeID, ctx int32) bool {
+		if visitedUnknown.Has(int(n)) {
 			return true
 		}
 		if ctx == ctxUnknown {
 			return false
 		}
-		return visitedCtx[n.ID].Has(ctx)
+		return visitedCtx[n].Has(int(ctx))
 	}
-	mark := func(n *Node, ctx int) {
+	mark := func(n NodeID, ctx int32) {
 		if ctx == ctxUnknown {
 			// Widen: unknown subsumes all specific contexts.
-			visitedUnknown.Add(n.ID)
-			visitedCtx[n.ID] = nil
+			visitedUnknown.Add(int(n))
+			visitedCtx[n] = nil
 		} else {
-			b := visitedCtx[n.ID]
+			b := visitedCtx[n]
 			if b == nil {
 				b = bitset.New(numCtx)
-				visitedCtx[n.ID] = b
+				visitedCtx[n] = b
 			}
-			b.Add(ctx)
+			b.Add(int(ctx))
 		}
-		gm.bottom.Add(n.ID)
+		gm.bottom.Add(int(n))
 	}
 
 	var work []state
-	push := func(n *Node, ctx int) {
-		if n.Kind == NodeRootT || n.Kind == NodeRootF {
+	push := func(n NodeID, ctx int32) {
+		if IsRoot(n) {
 			return
 		}
 		n = rep(n)
@@ -207,10 +203,10 @@ func ResolveWith(g *Graph, opts ResolveOptions) *Gamma {
 		work = append(work, state{n, ctx})
 	}
 
-	for _, e := range g.RootF.Users {
+	for _, e := range g.Users(RootF) {
 		// Flows start where an undefined value is born; the birth context
 		// is unknown (it can leave its function through any return).
-		if cut != nil && cut(e.To, g.RootF) {
+		if cut != nil && cut(e.To, RootF) {
 			continue
 		}
 		push(e.To, ctxUnknown)
@@ -233,11 +229,11 @@ func ResolveWith(g *Graph, opts ResolveOptions) *Gamma {
 				push(e.To, s.ctx)
 			case EdgeCall:
 				// Entering the callee at e.Site: remember it (1 level).
-				push(e.To, siteIDs[e.Site])
+				push(e.To, e.Site)
 			case EdgeRet:
 				// Leaving the callee towards e.Site: allowed if we entered
 				// there, or if the entry site is unknown.
-				if s.ctx == ctxUnknown || s.ctx == siteIDs[e.Site] {
+				if s.ctx == ctxUnknown || s.ctx == e.Site {
 					push(e.To, ctxUnknown)
 				}
 			}
@@ -249,8 +245,8 @@ func ResolveWith(g *Graph, opts ResolveOptions) *Gamma {
 // CriticalUses lists the VFG nodes whose values are used at critical
 // operations, mapping each node to the set of critical instructions using
 // it. Constants at critical operations are always defined and omitted.
-func CriticalUses(g *Graph) map[*Node][]ir.Instr {
-	uses := make(map[*Node][]ir.Instr)
+func CriticalUses(g *Graph) map[NodeID][]ir.Instr {
+	uses := make(map[NodeID][]ir.Instr)
 	for _, fn := range g.Prog.Funcs {
 		if !fn.HasBody {
 			continue
@@ -263,7 +259,7 @@ func CriticalUses(g *Graph) map[*Node][]ir.Instr {
 				}
 				for _, v := range vals {
 					if r, isReg := v.(*ir.Register); isReg {
-						if n := g.RegNode(r); n != nil {
+						if n := g.RegNode(r); n != NoNode {
 							uses[n] = append(uses[n], in)
 						}
 					}
@@ -280,19 +276,19 @@ func CriticalUses(g *Graph) map[*Node][]ir.Instr {
 // Table 1's %B column.
 func ReachesCritical(g *Graph) []bool {
 	reach := make([]bool, len(g.Nodes))
-	var work []*Node
+	var work []NodeID
 	for n := range CriticalUses(g) {
-		if !reach[n.ID] {
-			reach[n.ID] = true
+		if !reach[n] {
+			reach[n] = true
 			work = append(work, n)
 		}
 	}
 	for len(work) > 0 {
 		n := work[len(work)-1]
 		work = work[:len(work)-1]
-		for _, e := range n.Deps {
-			if t := e.To; t.Kind != NodeRootT && t.Kind != NodeRootF && !reach[t.ID] {
-				reach[t.ID] = true
+		for _, e := range g.Deps(n) {
+			if t := e.To; !IsRoot(t) && !reach[t] {
+				reach[t] = true
 				work = append(work, t)
 			}
 		}

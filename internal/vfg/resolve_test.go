@@ -44,9 +44,10 @@ func TestContextInsensitiveAblation(t *testing.T) {
 			ci.BottomCount(), cs.BottomCount())
 	}
 	// CI must be a sound over-approximation: every CS-⊥ node stays ⊥.
-	for _, n := range g.Nodes {
+	for i, nd := range g.Nodes {
+		n := vfg.NodeID(i)
 		if cs.Of(n) == vfg.Bottom && ci.Of(n) != vfg.Bottom {
-			t.Errorf("node %v: ⊥ under CS but ⊤ under CI (unsound ablation?)", n)
+			t.Errorf("node %v: ⊥ under CS but ⊤ under CI (unsound ablation?)", nd)
 		}
 	}
 }
@@ -64,9 +65,10 @@ func TestMergeEquivalentGammaIdentical(t *testing.T) {
 
 		plain := vfg.Resolve(g)
 		merged := vfg.ResolveWith(g, vfg.ResolveOptions{MergeEquivalent: true})
-		for _, n := range g.Nodes {
+		for i, nd := range g.Nodes {
+			n := vfg.NodeID(i)
 			if plain.Of(n) != merged.Of(n) {
-				t.Fatalf("%s: node %v: plain %v, merged %v", name, n, plain.Of(n), merged.Of(n))
+				t.Fatalf("%s: node %v: plain %v, merged %v", name, nd, plain.Of(n), merged.Of(n))
 			}
 		}
 		eq := vfg.ComputeAccessEquivalence(g)
@@ -87,10 +89,11 @@ func TestMergeEquivalentOnRandomPrograms(t *testing.T) {
 		g := vfg.Build(irp, pa, mem, vfg.Options{})
 		plain := vfg.Resolve(g)
 		merged := vfg.ResolveWith(g, vfg.ResolveOptions{MergeEquivalent: true})
-		for _, n := range g.Nodes {
+		for i, nd := range g.Nodes {
+			n := vfg.NodeID(i)
 			if plain.Of(n) != merged.Of(n) {
 				t.Fatalf("seed %d: node %v: plain %v, merged %v\n%s",
-					seed, n, plain.Of(n), merged.Of(n), src)
+					seed, nd, plain.Of(n), merged.Of(n), src)
 			}
 		}
 	}
@@ -107,9 +110,10 @@ func TestContextInsensitiveSoundOnRandomPrograms(t *testing.T) {
 		g := vfg.Build(irp, pa, mem, vfg.Options{})
 		cs := vfg.Resolve(g)
 		ci := vfg.ResolveWith(g, vfg.ResolveOptions{ContextInsensitive: true})
-		for _, n := range g.Nodes {
+		for i, nd := range g.Nodes {
+			n := vfg.NodeID(i)
 			if cs.Of(n) == vfg.Bottom && ci.Of(n) == vfg.Top {
-				t.Fatalf("seed %d: node %v ⊥ under CS, ⊤ under CI", seed, n)
+				t.Fatalf("seed %d: node %v ⊥ under CS, ⊤ under CI", seed, nd)
 			}
 		}
 	}

@@ -18,20 +18,22 @@
 //     rerouted around the allocation's own (possibly undefined) initial
 //     state to the version before the allocation (Figure 6).
 //   - weak: everything else; the old version flows into the new one.
+//
+// A built graph is sealed and compact: nodes have dense ids, and every
+// node's dependences and users are slices of two shared, pointer-free edge
+// arrays in CSR form (see DESIGN.md, "VFG data layout").
 package vfg
 
 import (
 	"fmt"
-	"sort"
 
-	"github.com/valueflow/usher/internal/cfg"
 	"github.com/valueflow/usher/internal/ir"
 	"github.com/valueflow/usher/internal/memssa"
 	"github.com/valueflow/usher/internal/pointer"
 )
 
 // NodeKind classifies VFG nodes.
-type NodeKind int
+type NodeKind uint8
 
 // Node kinds.
 const (
@@ -42,7 +44,7 @@ const (
 )
 
 // EdgeKind classifies dependence edges.
-type EdgeKind int
+type EdgeKind uint8
 
 // Edge kinds. Call and Ret edges carry their call site.
 const (
@@ -55,41 +57,69 @@ const (
 	EdgeRet
 )
 
-// Node is one VFG node.
+// NodeID is a node's dense index in Graph.Nodes.
+type NodeID int32
+
+// NoNode is what lookups return for a value the graph does not model.
+// Γ reads it as ⊥.
+const NoNode NodeID = -1
+
+// The two roots are the first two nodes of every graph.
+const (
+	// RootT is the root T: defined.
+	RootT NodeID = 0
+	// RootF is the root F: undefined.
+	RootF NodeID = 1
+)
+
+// IsRoot reports whether id is T or F.
+func IsRoot(id NodeID) bool { return id == RootT || id == RootF }
+
+// Node is one entry of the node table. It holds no edges: a node's
+// dependences and users are slices of the graph's shared edge arrays
+// (Graph.Deps, Graph.Users).
 type Node struct {
-	ID   int
 	Kind NodeKind
 	// Reg is set for NodeReg.
 	Reg *ir.Register
 	// Mem is set for NodeMem.
 	Mem *memssa.Def
-	// Fn is the containing function (nil for roots).
-	Fn *ir.Function
-
-	// Deps are the nodes this node's value flows from.
-	Deps []Edge
-	// Users is the reverse adjacency, built by Finish.
-	Users []Edge
 }
 
-func (n *Node) String() string {
+// Fn returns the function containing the node's definition (nil for the
+// roots).
+func (n Node) Fn() *ir.Function {
+	switch n.Kind {
+	case NodeReg:
+		return n.Reg.Fn
+	case NodeMem:
+		return n.Mem.Fn
+	}
+	return nil
+}
+
+func (n Node) String() string {
 	switch n.Kind {
 	case NodeRootT:
 		return "T"
 	case NodeRootF:
 		return "F"
 	case NodeReg:
-		return fmt.Sprintf("%s:%s", n.Fn.Name, n.Reg)
+		return fmt.Sprintf("%s:%s", n.Reg.Fn.Name, n.Reg)
 	default:
-		return fmt.Sprintf("%s:%s", n.Fn.Name, n.Mem)
+		return fmt.Sprintf("%s:%s", n.Mem.Fn.Name, n.Mem)
 	}
 }
 
-// Edge is one dependence edge.
+// Edge is one dependence edge or, in a users list, one reversed
+// dependence. It holds no pointers, so the edge arrays are never scanned
+// by the garbage collector.
 type Edge struct {
-	To   *Node
+	To NodeID
+	// Site is the dense id of the call site (see Graph.Site) on call and
+	// return edges, 0 on intraprocedural ones.
+	Site int32
 	Kind EdgeKind
-	Site *ir.Call
 }
 
 // UpdateKind classifies how a store's chi was handled.
@@ -128,562 +158,106 @@ type Options struct {
 	NoSemiStrong bool
 }
 
-// Graph is the whole-program VFG.
+// Graph is the whole-program VFG. Build returns it sealed: nothing about
+// it changes afterwards, so one graph may be shared read-only by any
+// number of concurrent consumers.
 type Graph struct {
 	Prog    *ir.Program
 	Pointer *pointer.Result
 	Mem     *memssa.Info
 	Opts    Options
 
-	RootT *Node
-	RootF *Node
-	Nodes []*Node
+	// Nodes is the node table, indexed by NodeID: T and F, then every
+	// other node in the order construction first needed it. Snapshot Γ
+	// bit vectors index this numbering.
+	Nodes []Node
 
-	regNodes map[*ir.Register]*Node
-	memNodes map[*memssa.Def]*Node
+	// Dependences and users in CSR form: node n's dependences are
+	// deps[depStart[n]:depStart[n+1]] and its users are
+	// users[userStart[n]:userStart[n+1]]. A node's dependences are a set
+	// of distinct (target, kind, site) triples in first-occurrence order;
+	// its users are exactly the reversed dependences, in node order.
+	depStart, userStart []int32
+	deps, users         []Edge
+
+	// fns locates each function's block of the dense lookup tables:
+	// register r's node is regNodes[fns[r.Fn].reg+r.ID] and memory def
+	// d's is memNodes[fns[d.Fn].mem+d.ID], NoNode where nothing was built.
+	fns      map[*ir.Function]fnSpan
+	regNodes []NodeID
+	memNodes []NodeID
+
+	// sites[id] is the call site with dense id id, numbered from 1 in the
+	// order construction first gave a site an edge; sites[0] is nil, the
+	// unknown context.
+	sites []*ir.Call
 
 	// StoreUpdates records the update flavor chosen per store chi.
 	StoreUpdates map[*memssa.Def]UpdateKind
 	// SemiStrongCuts counts applications of the semi-strong rule.
 	SemiStrongCuts int
 
-	// sealed marks the graph immutable: after Build returns, node lookups
-	// never materialize new nodes, so a Graph (and everything hanging off
-	// it) can be shared read-only across concurrent consumers.
 	sealed bool
-	// siteIDs/numSites assign a dense, deterministic id (1..numSites) to
-	// every call site appearing on an interprocedural edge; id 0 is the
-	// unknown context. Precomputing the table at build time keeps Resolve
-	// read-only on the graph.
-	siteIDs  map[*ir.Call]int
-	numSites int
 }
 
-// Build constructs the VFG.
-func Build(prog *ir.Program, pa *pointer.Result, mem *memssa.Info, opts Options) *Graph {
-	g := &Graph{
-		Prog:         prog,
-		Pointer:      pa,
-		Mem:          mem,
-		Opts:         opts,
-		regNodes:     make(map[*ir.Register]*Node),
-		memNodes:     make(map[*memssa.Def]*Node),
-		StoreUpdates: make(map[*memssa.Def]UpdateKind),
-	}
-	g.RootT = g.newNode(NodeRootT, nil)
-	g.RootF = g.newNode(NodeRootF, nil)
-	for _, fn := range prog.Funcs {
-		if fn.HasBody {
-			g.buildFunc(fn)
-		}
-	}
-	g.linkParams()
-	g.seal()
-	return g
+// fnSpan is one function's block in the dense lookup tables.
+type fnSpan struct {
+	reg, nreg int32
+	mem, nmem int32
 }
 
-// seal completes construction and freezes the graph: every register that
-// could ever be queried gets its node now, the reverse adjacency and the
-// call-site table are built, and lazy node creation is switched off.
-func (g *Graph) seal() {
-	// Materialize nodes for every parameter and every defined register,
-	// so post-build lookups (CriticalUses, instrumentation, Opt II) never
-	// mutate the node table. Operand registers are always defined by some
-	// instruction or parameter, so this covers all of them.
-	for _, fn := range g.Prog.Funcs {
-		if !fn.HasBody {
-			continue
-		}
-		for _, prm := range fn.Params {
-			g.RegNode(prm)
-		}
-		for _, b := range fn.Blocks {
-			for _, in := range b.Instrs {
-				switch in := in.(type) {
-				case *ir.Alloc:
-					g.RegNode(in.Dst)
-				case *ir.Copy:
-					g.RegNode(in.Dst)
-				case *ir.BinOp:
-					g.RegNode(in.Dst)
-				case *ir.FieldAddr:
-					g.RegNode(in.Dst)
-				case *ir.IndexAddr:
-					g.RegNode(in.Dst)
-				case *ir.Phi:
-					g.RegNode(in.Dst)
-				case *ir.Load:
-					g.RegNode(in.Dst)
-				case *ir.Call:
-					if in.Dst != nil {
-						g.RegNode(in.Dst)
-					}
-				}
-			}
-		}
-	}
-	g.finish()
-
-	// Dense call-site ids, assigned in deterministic edge order.
-	g.siteIDs = make(map[*ir.Call]int)
-	for _, n := range g.Nodes {
-		for _, e := range n.Deps {
-			if e.Site == nil {
-				continue
-			}
-			if _, ok := g.siteIDs[e.Site]; !ok {
-				g.numSites++
-				g.siteIDs[e.Site] = g.numSites
-			}
-		}
-	}
-	g.sealed = true
-}
-
-// Sealed reports whether the graph has been made immutable (set by Build
-// before returning). The pipeline artifact store refuses to share an
-// unsealed graph: lookups on it would materialize nodes and race.
+// Sealed reports whether the graph is complete and immutable (set by
+// Build before returning). The pipeline artifact store refuses to share
+// an unsealed graph.
 func (g *Graph) Sealed() bool { return g.sealed }
 
-// Sites returns the graph's dense call-site numbering: a map from call
-// site to context id (1..numSites; 0 is the unknown context) plus the
-// site count. Sealed graphs carry the table precomputed at build time;
-// unsealed ones (hand-built in tests) get a fresh assignment in the same
-// deterministic dependence-edge order, so resolution — dense or
-// summary-based — always agrees on context ids.
-func (g *Graph) Sites() (map[*ir.Call]int, int) {
-	if g.siteIDs != nil {
-		return g.siteIDs, g.numSites
+// RegNode returns the node of a register definition, or NoNode if the
+// graph does not model the register (callers treat that conservatively).
+// Every parameter and instruction result of a function with a body has a
+// node.
+func (g *Graph) RegNode(r *ir.Register) NodeID {
+	sp, ok := g.fns[r.Fn]
+	if !ok || r.ID >= int(sp.nreg) {
+		return NoNode
 	}
-	siteIDs := make(map[*ir.Call]int)
-	numSites := 0
-	for _, n := range g.Nodes {
-		for _, e := range n.Deps {
-			if e.Site != nil {
-				if _, ok := siteIDs[e.Site]; !ok {
-					numSites++
-					siteIDs[e.Site] = numSites
-				}
-			}
-		}
-	}
-	return siteIDs, numSites
+	return g.regNodes[sp.reg+int32(r.ID)]
 }
 
-func (g *Graph) newNode(kind NodeKind, fn *ir.Function) *Node {
-	n := &Node{ID: len(g.Nodes), Kind: kind, Fn: fn}
-	g.Nodes = append(g.Nodes, n)
-	return n
+// MemNode returns the node of a memory SSA definition, or NoNode if the
+// graph does not model it (always, on top-level-only graphs).
+func (g *Graph) MemNode(d *memssa.Def) NodeID {
+	sp, ok := g.fns[d.Fn]
+	if !ok || d.ID >= sp.nmem {
+		return NoNode
+	}
+	return g.memNodes[sp.mem+d.ID]
 }
 
-// RegNode returns the node of a register definition. On a sealed graph
-// misses return nil instead of materializing a node (callers treat nil
-// conservatively), keeping lookups free of side effects so they are safe
-// under concurrent sharing.
-func (g *Graph) RegNode(r *ir.Register) *Node {
-	if n, ok := g.regNodes[r]; ok {
-		return n
-	}
-	if g.sealed {
-		return nil
-	}
-	n := g.newNode(NodeReg, r.Fn)
-	n.Reg = r
-	g.regNodes[r] = n
-	return n
+// Deps returns the nodes n's value flows from. The slice aliases the
+// graph's edge array and must not be modified.
+func (g *Graph) Deps(n NodeID) []Edge {
+	lo, hi := g.depStart[n], g.depStart[n+1]
+	return g.deps[lo:hi:hi]
 }
 
-// MemNode returns the node of a memory SSA definition.
-func (g *Graph) MemNode(d *memssa.Def) *Node {
-	if g.Opts.TopLevelOnly {
-		// Should not be called in TL mode; defensive.
-		return g.RootF
-	}
-	if n, ok := g.memNodes[d]; ok {
-		return n
-	}
-	if g.sealed {
-		return nil
-	}
-	n := g.newNode(NodeMem, d.Fn)
-	n.Mem = d
-	g.memNodes[d] = n
-	return n
+// Users returns the reversed dependences of n: one edge to every node
+// whose value flows from n, with that dependence's kind and site. The
+// slice aliases the graph's edge array and must not be modified.
+func (g *Graph) Users(n NodeID) []Edge {
+	lo, hi := g.userStart[n], g.userStart[n+1]
+	return g.users[lo:hi:hi]
 }
 
-// ValueNode returns the node representing an operand's value: T for
-// constants, function addresses and global addresses; the register node
-// otherwise.
-func (g *Graph) ValueNode(v ir.Value) *Node {
-	if r, ok := v.(*ir.Register); ok {
-		return g.RegNode(r)
-	}
-	return g.RootT
-}
+// UserCSR exposes the users array in CSR form: node n's users are
+// edges[start[n]:start[n+1]]. Both slices are read-only.
+func (g *Graph) UserCSR() (start []int32, edges []Edge) { return g.userStart, g.users }
 
-func (g *Graph) addDep(from, to *Node) { g.addDepE(from, to, EdgeIntra, nil) }
+// NumEdges returns the number of dependence edges.
+func (g *Graph) NumEdges() int { return len(g.deps) }
 
-func (g *Graph) addDepE(from, to *Node, kind EdgeKind, site *ir.Call) {
-	from.Deps = append(from.Deps, Edge{To: to, Kind: kind, Site: site})
-}
+// NumSites returns the number of call sites on interprocedural edges;
+// their dense ids are 1..NumSites.
+func (g *Graph) NumSites() int { return len(g.sites) - 1 }
 
-// finish builds the reverse adjacency.
-func (g *Graph) finish() {
-	for _, n := range g.Nodes {
-		for _, e := range n.Deps {
-			e.To.Users = append(e.To.Users, Edge{To: n, Kind: e.Kind, Site: e.Site})
-		}
-	}
-}
-
-// concreteLocation reports whether a memory variable denotes exactly one
-// runtime cell, making strong updates safe: a global cell, or a stack cell
-// of a non-recursive function; and never part of a collapsed multi-cell
-// object.
-func (g *Graph) concreteLocation(v memssa.MemVar) bool {
-	if v.Obj.Collapsed() && v.Obj.Size > 1 {
-		return false
-	}
-	if v.Obj.Site != nil && v.Obj.Site.DynSize != nil {
-		return false
-	}
-	switch v.Obj.Kind {
-	case ir.ObjGlobal:
-		return true
-	case ir.ObjStack:
-		return !g.Pointer.Recursive(v.Obj.Fn)
-	default:
-		return false
-	}
-}
-
-func (g *Graph) buildFunc(fn *ir.Function) {
-	fi := g.Mem.Funcs[fn]
-	dom := cfg.NewDomTree(fn)
-
-	for _, b := range fn.Blocks {
-		for _, in := range b.Instrs {
-			switch in := in.(type) {
-			case *ir.Alloc:
-				g.buildAlloc(fi, in)
-			case *ir.Copy:
-				g.addDep(g.RegNode(in.Dst), g.ValueNode(in.Src))
-			case *ir.BinOp:
-				d := g.RegNode(in.Dst)
-				g.addDep(d, g.ValueNode(in.X))
-				g.addDep(d, g.ValueNode(in.Y))
-			case *ir.FieldAddr:
-				g.addDep(g.RegNode(in.Dst), g.ValueNode(in.Base))
-			case *ir.IndexAddr:
-				d := g.RegNode(in.Dst)
-				g.addDep(d, g.ValueNode(in.Base))
-				g.addDep(d, g.ValueNode(in.Idx))
-			case *ir.Phi:
-				d := g.RegNode(in.Dst)
-				for _, v := range in.Vals {
-					g.addDep(d, g.ValueNode(v))
-				}
-			case *ir.Load:
-				g.buildLoad(fi, in)
-			case *ir.Store:
-				g.buildStore(fi, dom, in)
-			case *ir.MemSet:
-				g.buildMemSet(fi, in)
-			case *ir.MemCopy:
-				g.buildMemCopy(fi, in)
-			case *ir.Call:
-				g.buildCall(fi, in)
-			}
-		}
-	}
-	if g.Opts.TopLevelOnly || fi == nil {
-		return
-	}
-	// Memory phis. fi.Phis is keyed by block; iterate the function's
-	// block list rather than the map so node creation order — and with
-	// it the graph's node numbering, which snapshot Γ bit vectors index
-	// — is identical on every run.
-	for _, b := range fn.Blocks {
-		for _, d := range fi.Phis[b] {
-			nd := g.MemNode(d)
-			for _, arg := range d.PhiArgs {
-				g.addDep(nd, g.memDefNode(arg))
-			}
-		}
-	}
-	// Entry versions of variables that cannot pre-exist are defined.
-	for _, d := range fi.AllDefs {
-		if d.Kind == memssa.DefEntryUndef {
-			g.addDep(g.MemNode(d), g.RootT)
-		}
-	}
-}
-
-// memDefNode maps a memory SSA def to its node, treating entry-undef
-// versions as defined.
-func (g *Graph) memDefNode(d *memssa.Def) *Node {
-	return g.MemNode(d)
-}
-
-func (g *Graph) buildAlloc(fi *memssa.FuncInfo, in *ir.Alloc) {
-	// The returned pointer is always defined ([⊤-Alloc]).
-	g.addDep(g.RegNode(in.Dst), g.RootT)
-	if g.Opts.TopLevelOnly || fi == nil {
-		return
-	}
-	initRoot := g.RootF
-	if in.Obj.ZeroInit {
-		initRoot = g.RootT
-	}
-	for _, chi := range fi.Chis[in.Label()] {
-		n := g.MemNode(chi)
-		g.addDep(n, initRoot)
-		// Older instances of the same abstract object keep their state.
-		g.addDep(n, g.memDefNode(chi.Prev))
-	}
-}
-
-func (g *Graph) buildLoad(fi *memssa.FuncInfo, in *ir.Load) {
-	d := g.RegNode(in.Dst)
-	if g.Opts.TopLevelOnly || fi == nil {
-		// Without address-taken tracking, loaded values are unknown.
-		g.addDep(d, g.RootF)
-		return
-	}
-	mus := fi.Mus[in.Label()]
-	if len(mus) == 0 {
-		// No statically visible target (e.g. empty points-to set): the
-		// value cannot be proven defined.
-		g.addDep(d, g.RootF)
-		return
-	}
-	for _, mu := range mus {
-		g.addDep(d, g.memDefNode(mu.Use))
-	}
-}
-
-func (g *Graph) buildStore(fi *memssa.FuncInfo, dom *cfg.DomTree, in *ir.Store) {
-	if g.Opts.TopLevelOnly || fi == nil {
-		return
-	}
-	valNode := g.ValueNode(in.Val)
-	uniq, isUniq := g.Pointer.UniqueTarget(in.Addr)
-	for _, chi := range fi.Chis[in.Label()] {
-		n := g.MemNode(chi)
-		g.addDep(n, valNode)
-		kind := UpdateWeakMulti
-		if isUniq {
-			uvar := memssa.MemVar{Obj: uniq.Obj, Field: g.Pointer.CanonField(uniq.Obj, uniq.Field)}
-			switch {
-			case uvar == chi.Var && g.concreteLocation(uvar):
-				// Strong update: the old version is killed.
-				kind = UpdateStrong
-			case uvar == chi.Var && !g.Opts.NoSemiStrong && g.semiStrong(dom, in, chi, n):
-				kind = UpdateSemiStrong
-			default:
-				kind = UpdateWeakSingleton
-				g.addDep(n, g.memDefNode(chi.Prev))
-			}
-		} else {
-			g.addDep(n, g.memDefNode(chi.Prev))
-		}
-		g.StoreUpdates[chi] = kind
-	}
-}
-
-// buildMemSet wires a memset intrinsic's chis: every targeted variable's
-// new version flows from the fill value and — because the runtime range
-// may not cover the variable — from the incoming version. The always-weak
-// treatment keeps the chis sound for any length, including zero.
-func (g *Graph) buildMemSet(fi *memssa.FuncInfo, in *ir.MemSet) {
-	if g.Opts.TopLevelOnly || fi == nil {
-		return
-	}
-	valNode := g.ValueNode(in.Val)
-	for _, chi := range fi.Chis[in.Label()] {
-		n := g.MemNode(chi)
-		g.addDep(n, valNode)
-		g.addDep(n, g.memDefNode(chi.Prev))
-	}
-}
-
-// buildMemCopy wires a memcpy/memmove intrinsic's chis: every targeted
-// variable's new version flows from the source variables' reaching
-// versions (the instruction's mus) and from its own incoming version
-// (always weak, as for memset). An empty source points-to set means the
-// copied values are statically unknown and therefore possibly undefined.
-func (g *Graph) buildMemCopy(fi *memssa.FuncInfo, in *ir.MemCopy) {
-	if g.Opts.TopLevelOnly || fi == nil {
-		return
-	}
-	mus := fi.Mus[in.Label()]
-	for _, chi := range fi.Chis[in.Label()] {
-		n := g.MemNode(chi)
-		if len(mus) == 0 {
-			g.addDep(n, g.RootF)
-		}
-		for _, mu := range mus {
-			g.addDep(n, g.memDefNode(mu.Use))
-		}
-		g.addDep(n, g.memDefNode(chi.Prev))
-	}
-}
-
-// semiStrong attempts the semi-strong update of §3.2: if the allocation
-// site of the stored-to object produces a pointer register whose
-// definition dominates the store, the store definitely overwrites the
-// freshly allocated cell, so the value flow is rerouted to the version
-// before the allocation's chi, bypassing the allocation's own undefined
-// initial state. Returns true (and adds the rerouted edge) on success.
-func (g *Graph) semiStrong(dom *cfg.DomTree, st *ir.Store, chi *memssa.Def, n *Node) bool {
-	// The rule is only sound when the variable denotes exactly one cell
-	// per instance: the store then definitely overwrites the fresh cell.
-	// A collapsed multi-cell object (array, dynamic allocation) is a
-	// summary of many cells, of which the store writes only one.
-	obj := chi.Var.Obj
-	if obj.Collapsed() && obj.Size > 1 {
-		return false
-	}
-	site := obj.Site
-	if site == nil || site.DynSize != nil {
-		return false
-	}
-	if site.Parent() == nil || site.Parent().Fn != st.Parent().Fn {
-		return false
-	}
-	if !dom.InstrDominates(site, st) {
-		return false
-	}
-	// Find the version of this variable before the allocation's chi.
-	fi := g.Mem.Funcs[st.Parent().Fn]
-	for _, allocChi := range fi.Chis[site.Label()] {
-		if allocChi.Var == chi.Var {
-			g.addDep(n, g.memDefNode(allocChi.Prev))
-			g.SemiStrongCuts++
-			return true
-		}
-	}
-	return false
-}
-
-func (g *Graph) buildCall(fi *memssa.FuncInfo, in *ir.Call) {
-	switch in.Builtin {
-	case ir.BuiltinInput:
-		g.addDep(g.RegNode(in.Dst), g.RootT)
-		return
-	case ir.BuiltinPrint, ir.BuiltinFree:
-		return
-	}
-	callees := g.Pointer.Callees(in)
-	if len(callees) == 0 || (in.Direct() != nil && !in.Direct().HasBody) {
-		// External call: modelled as returning a defined value.
-		if in.Dst != nil {
-			g.addDep(g.RegNode(in.Dst), g.RootT)
-		}
-		return
-	}
-	for _, callee := range callees {
-		if !callee.HasBody {
-			if in.Dst != nil {
-				g.addDep(g.RegNode(in.Dst), g.RootT)
-			}
-			continue
-		}
-		// Formal parameters depend on actuals (call edges).
-		for i, prm := range callee.Params {
-			if i < len(in.Args) {
-				g.addDepE(g.RegNode(prm), g.ValueNode(in.Args[i]), EdgeCall, in)
-			}
-		}
-		cfi := g.Mem.Funcs[callee]
-		// Return value flows to the call result (ret edges).
-		if in.Dst != nil {
-			for _, b := range callee.Blocks {
-				for _, ci := range b.Instrs {
-					if r, ok := ci.(*ir.Ret); ok && r.Val != nil {
-						g.addDepE(g.RegNode(in.Dst), g.valueNodeIn(callee, r.Val), EdgeRet, in)
-					}
-				}
-			}
-		}
-		if g.Opts.TopLevelOnly || fi == nil || cfi == nil {
-			continue
-		}
-		// Virtual input parameters: callee entry versions depend on the
-		// caller's current versions at the call site.
-		muByVar := make(map[memssa.MemVar]*memssa.Def)
-		for _, mu := range fi.Mus[in.Label()] {
-			muByVar[mu.Var] = mu.Use
-		}
-		for _, v := range cfi.InVars {
-			entry := cfi.EntryDefs[v]
-			if entry == nil {
-				continue
-			}
-			if use, ok := muByVar[v]; ok {
-				g.addDepE(g.MemNode(entry), g.memDefNode(use), EdgeCall, in)
-			}
-		}
-		// Virtual output parameters: the caller's post-call versions
-		// depend on the callee's versions at each return. RetVersions is
-		// keyed by ret label; iterate the labels sorted so node creation
-		// and edge order (and with them the graph's node numbering) are
-		// identical on every run.
-		outSet := make(map[memssa.MemVar]bool, len(cfi.OutVars))
-		for _, v := range cfi.OutVars {
-			outSet[v] = true
-		}
-		retLabels := make([]int, 0, len(cfi.RetVersions))
-		for l := range cfi.RetVersions {
-			retLabels = append(retLabels, l)
-		}
-		sort.Ints(retLabels)
-		for _, chi := range fi.Chis[in.Label()] {
-			n := g.MemNode(chi)
-			if outSet[chi.Var] {
-				for _, l := range retLabels {
-					if d, ok := cfi.RetVersions[l][chi.Var]; ok {
-						g.addDepE(n, g.memDefNode(d), EdgeRet, in)
-					}
-				}
-			} else {
-				// Some other callee modifies this variable; through this
-				// callee it is unchanged.
-				g.addDep(n, g.memDefNode(chi.Prev))
-			}
-		}
-	}
-}
-
-// valueNodeIn is ValueNode for operands of another function (ret values).
-func (g *Graph) valueNodeIn(fn *ir.Function, v ir.Value) *Node {
-	return g.ValueNode(v)
-}
-
-// linkParams gives defined roots to the parameters and entry memory
-// versions of functions that are never called (program entry points).
-func (g *Graph) linkParams() {
-	for _, fn := range g.Prog.Funcs {
-		if !fn.HasBody {
-			continue
-		}
-		if len(g.Pointer.Callers(fn)) > 0 {
-			continue
-		}
-		for _, prm := range fn.Params {
-			g.addDep(g.RegNode(prm), g.RootT)
-		}
-		if g.Opts.TopLevelOnly {
-			continue
-		}
-		if fi := g.Mem.Funcs[fn]; fi != nil {
-			// At program start, globals are initialized and no heap
-			// instances exist.
-			for _, v := range fi.InVars {
-				if d := fi.EntryDefs[v]; d != nil {
-					g.addDep(g.MemNode(d), g.RootT)
-				}
-			}
-		}
-	}
-}
+// Site returns the call site with dense id id (nil for 0).
+func (g *Graph) Site(id int32) *ir.Call { return g.sites[id] }

@@ -297,9 +297,9 @@ int main() {
 			n := g.RegNode(bin.Dst)
 			switch bin.Op {
 			case ir.OpAdd:
-				bReach = reach[n.ID]
+				bReach = reach[n]
 			case ir.OpMul:
-				deadReach = reach[n.ID]
+				deadReach = reach[n]
 			}
 		}
 	}

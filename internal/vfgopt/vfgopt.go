@@ -101,7 +101,7 @@ func (m *MFC) Simplified() bool { return m.Interior > 1 || (m.Interior == 1 && l
 // using the returned Γ, so that all shadow values remain initialized
 // (line 9 of Algorithm 1).
 func RedundantCheckElim(g *vfg.Graph, gm *vfg.Gamma) (*vfg.Gamma, int) {
-	return RedundantCheckElimWith(g, gm, func(cut func(from, to *vfg.Node) bool) *vfg.Gamma {
+	return RedundantCheckElimWith(g, gm, func(cut func(from, to vfg.NodeID) bool) *vfg.Gamma {
 		return vfg.ResolveCut(g, cut)
 	})
 }
@@ -111,10 +111,10 @@ func RedundantCheckElim(g *vfg.Graph, gm *vfg.Gamma) (*vfg.Gamma, int) {
 // when it is enabled, the dense vfg.ResolveCut otherwise. Both produce
 // bit-identical Γ under the same cut set.
 func RedundantCheckElimWith(g *vfg.Graph, gm *vfg.Gamma,
-	resolve func(cut func(from, to *vfg.Node) bool) *vfg.Gamma) (*vfg.Gamma, int) {
-	type edge struct{ from, to int }
+	resolve func(cut func(from, to vfg.NodeID) bool) *vfg.Gamma) (*vfg.Gamma, int) {
+	type edge struct{ from, to vfg.NodeID }
 	cuts := make(map[edge]bool)
-	redirected := make(map[int]bool)
+	redirected := make(map[vfg.NodeID]bool)
 
 	// Dominator trees per function, built on demand.
 	doms := make(map[*ir.Function]*cfg.DomTree)
@@ -128,16 +128,16 @@ func RedundantCheckElimWith(g *vfg.Graph, gm *vfg.Gamma,
 	}
 
 	for node, stmts := range vfg.CriticalUses(g) {
-		if node.Kind != vfg.NodeReg || gm.Of(node) != vfg.Bottom {
+		if g.Nodes[node].Kind != vfg.NodeReg || gm.Of(node) != vfg.Bottom {
 			continue
 		}
-		m := ComputeMFC(node.Reg)
+		m := ComputeMFC(g.Nodes[node].Reg)
 		// The extended closure x̄: MFC registers plus the concrete
 		// address-taken versions read by the closure's loads (line 4).
-		closure := make(map[int]bool)
+		closure := make(map[vfg.NodeID]bool)
 		for _, r := range m.All {
-			if rn := g.RegNode(r); rn != nil {
-				closure[rn.ID] = true
+			if rn := g.RegNode(r); rn != vfg.NoNode {
+				closure[rn] = true
 			}
 		}
 		for _, r := range m.All {
@@ -145,12 +145,12 @@ func RedundantCheckElimWith(g *vfg.Graph, gm *vfg.Gamma,
 				continue
 			}
 			ln := g.RegNode(r)
-			if ln == nil {
+			if ln == vfg.NoNode {
 				continue
 			}
-			for _, e := range ln.Deps {
-				if e.To.Kind == vfg.NodeMem && concreteVar(g, e.To.Mem.Var) {
-					closure[e.To.ID] = true
+			for _, e := range g.Deps(ln) {
+				if t := g.Nodes[e.To]; t.Kind == vfg.NodeMem && concreteVar(g, t.Mem.Var) {
+					closure[e.To] = true
 				}
 			}
 		}
@@ -158,22 +158,21 @@ func RedundantCheckElimWith(g *vfg.Graph, gm *vfg.Gamma,
 			dom := domOf(s.Parent().Fn)
 			// R_x: users r of the closure that are outside it, whose
 			// defining statement is dominated by s.
-			for tid := range closure {
-				t := g.Nodes[tid]
-				for _, ue := range t.Users {
+			for t := range closure {
+				for _, ue := range g.Users(t) {
 					r := ue.To
-					if closure[r.ID] {
+					if closure[r] {
 						continue
 					}
-					rDef := defInstr(r)
+					rDef := defInstr(g.Nodes[r])
 					if rDef == nil || rDef.Parent() == nil || rDef.Parent().Fn != s.Parent().Fn {
 						continue
 					}
 					if !dom.InstrDominates(s, rDef) {
 						continue
 					}
-					cuts[edge{r.ID, t.ID}] = true
-					redirected[r.ID] = true
+					cuts[edge{r, t}] = true
+					redirected[r] = true
 				}
 			}
 		}
@@ -181,15 +180,15 @@ func RedundantCheckElimWith(g *vfg.Graph, gm *vfg.Gamma,
 	if len(cuts) == 0 {
 		return gm, 0
 	}
-	newGamma := resolve(func(from, to *vfg.Node) bool {
-		return cuts[edge{from.ID, to.ID}]
+	newGamma := resolve(func(from, to vfg.NodeID) bool {
+		return cuts[edge{from, to}]
 	})
 	return newGamma, len(redirected)
 }
 
 // defInstr returns the IR instruction that defines a VFG node's value, if
 // any.
-func defInstr(n *vfg.Node) ir.Instr {
+func defInstr(n vfg.Node) ir.Instr {
 	switch n.Kind {
 	case vfg.NodeReg:
 		return n.Reg.Def

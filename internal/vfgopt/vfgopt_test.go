@@ -202,14 +202,15 @@ int main(int sel) {
 	gm2, _ := vfgopt.RedundantCheckElim(g, gm)
 	// Both uses must remain ⊥: neither dominates the other.
 	bottoms := 0
-	for _, n := range g.Nodes {
-		if n.Kind == vfg.NodeReg && gm.Of(n) == vfg.Bottom {
+	for i, nd := range g.Nodes {
+		n := vfg.NodeID(i)
+		if nd.Kind == vfg.NodeReg && gm.Of(n) == vfg.Bottom {
 			if gm2.Of(n) == vfg.Top {
 				// A node was upgraded; ensure it is not one of the two
 				// checked values by checking overall: in this program no
 				// upgrade is legal for checked nodes.
 				for _, in := range vfg.CriticalUses(g)[n] {
-					t.Errorf("checked node %v upgraded despite no dominance (use at l%d)", n, in.Label())
+					t.Errorf("checked node %v upgraded despite no dominance (use at l%d)", nd, in.Label())
 				}
 			}
 			bottoms++

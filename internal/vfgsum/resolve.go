@@ -140,6 +140,6 @@ func (s *Summary) Resolve() *vfg.Gamma {
 // re-resolution. The cached cut-free summary cannot be reused: a cut
 // edge inside a condensed region would be traversed through the region's
 // supernode.
-func ResolveCut(g *vfg.Graph, cut func(from, to *vfg.Node) bool) *vfg.Gamma {
+func ResolveCut(g *vfg.Graph, cut func(from, to vfg.NodeID) bool) *vfg.Gamma {
 	return BuildCut(g, cut).Resolve()
 }

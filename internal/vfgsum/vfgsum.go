@@ -36,6 +36,7 @@ package vfgsum
 import (
 	"sort"
 
+	"github.com/valueflow/usher/internal/bitset"
 	"github.com/valueflow/usher/internal/ir"
 	"github.com/valueflow/usher/internal/pool"
 	"github.com/valueflow/usher/internal/vfg"
@@ -123,72 +124,53 @@ func Build(g *vfg.Graph) *Summary { return build(g, nil) }
 // edge is cut is absent from the condensation. Opt II's re-resolution
 // must use a cut-aware summary — a cut edge inside a collapsed region
 // would otherwise be traversed through the region's supernode.
-func BuildCut(g *vfg.Graph, cut func(from, to *vfg.Node) bool) *Summary {
+func BuildCut(g *vfg.Graph, cut func(from, to vfg.NodeID) bool) *Summary {
 	return build(g, cut)
 }
 
-func build(g *vfg.Graph, cut func(from, to *vfg.Node) bool) *Summary {
+func build(g *vfg.Graph, cut func(from, to vfg.NodeID) bool) *Summary {
 	n := len(g.Nodes)
-	s := &Summary{g: g, snOf: make([]int32, n)}
-	_, s.numSites = g.Sites()
+	s := &Summary{g: g, snOf: make([]int32, n), numSites: g.NumSites()}
 
-	// Pass 1: cut-filtered intraprocedural adjacency in CSR form, plus
-	// the interprocedural edge list and the root seeds. A user edge from
-	// u to e.To corresponds to the dependence edge e.To -> u, which is
-	// what the cut predicate keys on (as in vfg.ResolveWith).
-	intraStart := make([]int32, n+1)
+	// Pass 1: the intraprocedural adjacency is the graph's own user CSR,
+	// read through intraAdj, which skips interprocedural edges and the
+	// cut. Collect the interprocedural edges and the root seeds. A user
+	// edge from u to e.To corresponds to the dependence edge e.To -> u,
+	// which is what the cut predicate keys on (as in vfg.ResolveWith).
 	type interEdge struct {
 		from, to int32
 		site     int32
 		kind     vfg.EdgeKind
 	}
 	var inter []interEdge
-	isRoot := func(nd *vfg.Node) bool {
-		return nd.Kind == vfg.NodeRootT || nd.Kind == vfg.NodeRootF
+	adj := intraAdj{}
+	adj.start, adj.edges = g.UserCSR()
+	if cut != nil {
+		adj.cut = bitset.New(len(adj.edges))
 	}
-	siteIDs, _ := g.Sites()
-	for _, u := range g.Nodes {
-		if isRoot(u) {
+	for u := 0; u < n; u++ {
+		if vfg.IsRoot(vfg.NodeID(u)) {
 			continue
 		}
-		for _, e := range u.Users {
-			if cut != nil && cut(e.To, u) {
+		for i := adj.start[u]; i < adj.start[u+1]; i++ {
+			e := adj.edges[i]
+			if cut != nil && cut(e.To, vfg.NodeID(u)) {
+				adj.cut.Add(int(i))
 				continue
 			}
-			if e.Kind == vfg.EdgeIntra {
-				intraStart[u.ID+1]++
-			} else {
+			if e.Kind != vfg.EdgeIntra {
 				inter = append(inter, interEdge{
-					from: int32(u.ID), to: int32(e.To.ID),
-					site: int32(siteIDs[e.Site]), kind: e.Kind,
+					from: int32(u), to: int32(e.To), site: e.Site, kind: e.Kind,
 				})
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		intraStart[i+1] += intraStart[i]
-	}
-	intraList := make([]int32, intraStart[n])
-	fill := make([]int32, n)
-	copy(fill, intraStart[:n])
-	for _, u := range g.Nodes {
-		if isRoot(u) {
-			continue
-		}
-		for _, e := range u.Users {
-			if e.Kind != vfg.EdgeIntra || (cut != nil && cut(e.To, u)) {
-				continue
-			}
-			intraList[fill[u.ID]] = int32(e.To.ID)
-			fill[u.ID]++
-		}
-	}
 	var seedNodes []int32
-	for _, e := range g.RootF.Users {
-		if cut != nil && cut(e.To, g.RootF) {
+	for _, e := range g.Users(vfg.RootF) {
+		if cut != nil && cut(e.To, vfg.RootF) {
 			continue
 		}
-		seedNodes = append(seedNodes, int32(e.To.ID))
+		seedNodes = append(seedNodes, int32(e.To))
 	}
 
 	// Pass 2: bucket nodes by function. Intraprocedural edges are built
@@ -202,17 +184,18 @@ func build(g *vfg.Graph, cut func(from, to *vfg.Node) bool) *Summary {
 	}
 	fnBucket := make(map[*ir.Function]int32)
 	nb := int32(0)
-	for _, nd := range g.Nodes {
-		if isRoot(nd) {
+	for u := 0; u < n; u++ {
+		if vfg.IsRoot(vfg.NodeID(u)) {
 			continue
 		}
-		b, ok := fnBucket[nd.Fn]
+		fn := g.Nodes[u].Fn()
+		b, ok := fnBucket[fn]
 		if !ok {
 			b = nb
 			nb++
-			fnBucket[nd.Fn] = b
+			fnBucket[fn] = b
 		}
-		bucketOf[nd.ID] = b
+		bucketOf[u] = b
 	}
 	bParent := make([]int32, nb)
 	for i := range bParent {
@@ -230,7 +213,11 @@ func build(g *vfg.Graph, cut func(from, to *vfg.Node) bool) *Summary {
 		if bucketOf[u] < 0 {
 			continue
 		}
-		for _, v := range intraList[intraStart[u]:intraStart[u+1]] {
+		for i := adj.start[u]; i < adj.start[u+1]; i++ {
+			if !adj.keep(i) {
+				continue
+			}
+			v := adj.edges[i].To
 			bu, bv := bFind(bucketOf[u]), bFind(bucketOf[v])
 			if bu != bv {
 				bParent[bv] = bu
@@ -264,7 +251,7 @@ func build(g *vfg.Graph, cut func(from, to *vfg.Node) bool) *Summary {
 		workers = pool.DefaultParallelism()
 	}
 	_ = pool.ForEach(workers, len(buckets), func(bi int) error {
-		tarjan(buckets[bi], intraStart, intraList, comp)
+		tarjan(buckets[bi], adj, comp)
 		return nil
 	})
 
@@ -323,7 +310,11 @@ func build(g *vfg.Graph, cut func(from, to *vfg.Node) bool) *Summary {
 			continue
 		}
 		pu := prelim[u]
-		for _, v := range intraList[intraStart[u]:intraStart[u+1]] {
+		for i := adj.start[u]; i < adj.start[u+1]; i++ {
+			if !adj.keep(i) {
+				continue
+			}
+			v := adj.edges[i].To
 			pv := prelim[v]
 			if pv == pu {
 				continue
@@ -448,7 +439,11 @@ func build(g *vfg.Graph, cut func(from, to *vfg.Node) bool) *Summary {
 	}
 	for sn := int32(0); sn < nsn; sn++ {
 		for _, u := range s.memList[s.memStart[sn]:s.memStart[sn+1]] {
-			for _, v := range intraList[intraStart[u]:intraStart[u+1]] {
+			for i := adj.start[u]; i < adj.start[u+1]; i++ {
+				if !adj.keep(i) {
+					continue
+				}
+				v := adj.edges[i].To
 				sv := s.snOf[v]
 				if sv != sn && stamp[sv] != sn {
 					stamp[sv] = sn
@@ -500,12 +495,28 @@ func build(g *vfg.Graph, cut func(from, to *vfg.Node) bool) *Summary {
 	return s
 }
 
+// intraAdj is the intraprocedural part of a graph's user CSR, less the
+// edges a cut removed.
+type intraAdj struct {
+	start []int32
+	edges []vfg.Edge
+	// cut holds the positions in edges of cut user edges; nil (empty)
+	// when nothing is cut.
+	cut *bitset.Set
+}
+
+// keep reports whether the user edge at position i is an uncut
+// intraprocedural edge.
+func (a intraAdj) keep(i int32) bool {
+	return a.edges[i].Kind == vfg.EdgeIntra && !a.cut.Has(int(i))
+}
+
 // tarjan runs an iterative Tarjan SCC pass over one bucket's subgraph
 // (nodes, with adjacency restricted by construction to the bucket) and
 // writes each node's component id into comp. Component ids are the SCC
 // root's node id, which is globally unique across buckets, so workers
 // condensing disjoint buckets never conflict.
-func tarjan(nodes []int32, adjStart, adjList []int32, comp []int32) {
+func tarjan(nodes []int32, adj intraAdj, comp []int32) {
 	index := make(map[int32]int32, len(nodes))
 	low := make(map[int32]int32, len(nodes))
 	onStack := make(map[int32]bool, len(nodes))
@@ -531,9 +542,12 @@ func tarjan(nodes []int32, adjStart, adjList []int32, comp []int32) {
 			f := &frames[len(frames)-1]
 			v := f.v
 			advanced := false
-			for f.ei < adjStart[v+1]-adjStart[v] {
-				w := adjList[adjStart[v]+f.ei]
+			for i := adj.start[v] + f.ei; i < adj.start[v+1]; i = adj.start[v] + f.ei {
 				f.ei++
+				if !adj.keep(i) {
+					continue
+				}
+				w := int32(adj.edges[i].To)
 				if _, seen := index[w]; !seen {
 					index[w] = next
 					low[w] = next

@@ -32,9 +32,10 @@ func buildGraphTL(t *testing.T, name, src string) *vfg.Graph {
 // requireSameGamma fails unless the two Γs agree on every node.
 func requireSameGamma(t *testing.T, g *vfg.Graph, dense, sum *vfg.Gamma, label string) {
 	t.Helper()
-	for _, n := range g.Nodes {
+	for i, nd := range g.Nodes {
+		n := vfg.NodeID(i)
 		if dense.Of(n) != sum.Of(n) {
-			t.Fatalf("%s: node %v: dense %v, summary %v", label, n, dense.Of(n), sum.Of(n))
+			t.Fatalf("%s: node %v: dense %v, summary %v", label, nd, dense.Of(n), sum.Of(n))
 		}
 	}
 	db, sb := dense.BottomBits(), sum.BottomBits()
@@ -94,12 +95,12 @@ func TestSummaryGammaIdenticalOnRandomPrograms(t *testing.T) {
 func TestSummaryResolveCutIdentical(t *testing.T) {
 	cuts := []struct {
 		name string
-		cut  func(from, to *vfg.Node) bool
+		cut  func(from, to vfg.NodeID) bool
 	}{
-		{"none", func(from, to *vfg.Node) bool { return false }},
-		{"mod3", func(from, to *vfg.Node) bool { return (from.ID+to.ID)%3 == 0 }},
-		{"mod7", func(from, to *vfg.Node) bool { return from.ID%7 == 2 }},
-		{"roots", func(from, to *vfg.Node) bool { return to.Kind == vfg.NodeRootF && from.ID%2 == 0 }},
+		{"none", func(from, to vfg.NodeID) bool { return false }},
+		{"mod3", func(from, to vfg.NodeID) bool { return (from+to)%3 == 0 }},
+		{"mod7", func(from, to vfg.NodeID) bool { return from%7 == 2 }},
+		{"roots", func(from, to vfg.NodeID) bool { return to == vfg.RootF && from%2 == 0 }},
 	}
 	for seed := 0; seed < 40; seed++ {
 		src := randprog.Generate(int64(seed), randprog.DefaultOptions)
