@@ -4,27 +4,16 @@
 // Usage:
 //
 //	usher-bench [-table1] [-fig10] [-fig11] [-opt-levels] [-ablations] [-all]
-//	            [-solver-scale] [-resolve-scale] [-snapshot-dir dir]
-//	            [-incremental] [-incremental-iters N] [-parallel N]
-//	            [-solver-workers N] [-gamma-summaries] [-json path] [-stats]
-//	            [-legacy-solver] [-cpuprofile path] [-memprofile path]
+//	            [-resolve-scale] [-parallel N] [-gamma-summaries]
+//	            [-json path] [-stats] [-cpuprofile path] [-memprofile path]
 //
-// -legacy-solver routes every pointer analysis through the retired
-// map-based solver, which is kept as the pre-optimization baseline for
-// the bit-vector solver (see BENCH_solver_baseline.json); results are
-// identical, only the timings move. -solver-workers N routes them
-// through the parallel wave solver instead (0, the default, keeps the
-// classic sequential solver); every reported number is bit-identical
-// for any value. -solver-scale runs the million-constraint scaling
-// harness — wave-solver timings over the XL constraint profiles at
-// workers 1/2/4/8 plus snapshot warm-start measurements (see
-// BENCH_solver_scale.json) — and is not part of -all. -resolve-scale
-// runs the Γ-resolution scaling harness — the Opt IV summary-based
-// resolver against the dense baseline over the resolve-stress XL
-// profiles and the module projects (see BENCH_resolve.json) — and is
-// likewise not part of -all. -gamma-summaries routes every Γ
-// resolution in the selected phases through the summary resolver;
-// results are bit-identical, only timings move.
+// -resolve-scale runs the Γ-resolution scaling harness — the Opt IV
+// summary-based resolver against the dense baseline over the
+// resolve-stress XL profiles and the module projects (see
+// BENCH_resolve.json) — and is not part of -all. -gamma-summaries routes
+// every Γ resolution in the selected phases through the summary
+// resolver; results are bit-identical, only timings move. Throughput and
+// latency of the whole system are measured by perfbench, not here.
 //
 // With no selection flags, -all is assumed. Work is spread over -parallel
 // workers (default: one per CPU) at two levels — across workload profiles
@@ -47,7 +36,6 @@ import (
 
 	"github.com/valueflow/usher/internal/bench"
 	"github.com/valueflow/usher/internal/passes"
-	"github.com/valueflow/usher/internal/pointer"
 	"github.com/valueflow/usher/internal/stats"
 )
 
@@ -57,17 +45,9 @@ func main() {
 	fig11 := flag.Bool("fig11", false, "static instrumentation counts (Figure 11)")
 	optLevels := flag.Bool("opt-levels", false, "slowdowns under O1 and O2 (Section 4.6)")
 	ablations := flag.Bool("ablations", false, "design-choice ablation study")
-	solverScale := flag.Bool("solver-scale", false,
-		"wave-solver scaling over the XL constraint profiles and snapshot warm starts (not part of -all)")
 	resolveScale := flag.Bool("resolve-scale", false,
 		"summary-based Γ resolution (Opt IV) vs the dense resolver over the resolve-stress profiles (not part of -all)")
-	snapshotDir := flag.String("snapshot-dir", "",
-		"directory for -solver-scale warm-start snapshots (default: a temp dir, removed after)")
-	incremental := flag.Bool("incremental", false,
-		"multi-file module builds: cold vs. warm vs. 1-line edit (not part of -all)")
-	incrementalIters := flag.Int("incremental-iters", 3, "timing repetitions per -incremental measurement (best is reported)")
 	all := flag.Bool("all", false, "everything")
-	legacySolver := flag.Bool("legacy-solver", false, "use the retired map-based pointer solver (pre-optimization baseline)")
 	cf := bench.RegisterCommonFlags(flag.CommandLine)
 	flag.Parse()
 	if err := cf.Validate(); err != nil {
@@ -75,12 +55,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	pointer.UseLegacySolver = *legacySolver
 	cf.ApplySolver()
-	solverName := "bitvector"
-	if *legacySolver {
-		solverName = "legacy"
-	}
 	sc := cf.Collector()
 	stopProfiles, err := cf.Profile.Start()
 	if err != nil {
@@ -93,7 +68,7 @@ func main() {
 		}
 	}()
 
-	if !*table1 && !*fig10 && !*fig11 && !*optLevels && !*ablations && !*solverScale && !*resolveScale && !*incremental {
+	if !*table1 && !*fig10 && !*fig11 && !*optLevels && !*ablations && !*resolveScale {
 		*all = true
 	}
 	report := &bench.Report{
@@ -102,8 +77,6 @@ func main() {
 		NumCPU:         runtime.NumCPU(),
 		GOMAXPROCS:     runtime.GOMAXPROCS(0),
 		Parallel:       cf.Parallel,
-		Solver:         solverName,
-		SolverWorkers:  cf.SolverWorkers,
 		GammaSummaries: cf.GammaSummaries,
 	}
 	// fail writes the partial report before exiting, so a late-phase
@@ -185,19 +158,6 @@ func main() {
 		}
 	}
 
-	if *solverScale {
-		fmt.Println("=== Solver scaling: wave-solver workers and snapshot warm starts ===")
-		start := time.Now()
-		res, err := bench.SolverScale(bench.SolverScaleWorkerCounts, *snapshotDir)
-		if err != nil {
-			fail(err)
-		}
-		report.AddPhase("solver-scale", start)
-		report.SolverScale = res
-		bench.WriteSolverScale(os.Stdout, res)
-		fmt.Println()
-	}
-
 	if *resolveScale {
 		fmt.Println("=== Resolve scaling: summary-based Γ resolution (Opt IV) vs the dense resolver ===")
 		start := time.Now()
@@ -208,19 +168,6 @@ func main() {
 		report.AddPhase("resolve-scale", start)
 		report.Resolve = res
 		bench.WriteResolveScale(os.Stdout, res)
-		fmt.Println()
-	}
-
-	if *incremental {
-		fmt.Println("=== Incremental: multi-file module builds, cold vs. warm vs. 1-line edit ===")
-		start := time.Now()
-		res, err := bench.Incremental(cf.Parallel, *incrementalIters)
-		if err != nil {
-			fail(err)
-		}
-		report.AddPhase("incremental", start)
-		report.Incremental = res
-		bench.WriteIncremental(os.Stdout, res)
 		fmt.Println()
 	}
 

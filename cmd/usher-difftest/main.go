@@ -8,8 +8,8 @@
 //
 //	usher-difftest [-seeds N] [-from S] [-parallel P] [-json path] [-stats]
 //	               [-mutate] [-mutants-per-seed N]
-//	               [-repro-dir dir] [-minimize=false] [-solver-workers N]
-//	               [-gamma-summaries] [-cpuprofile path] [-memprofile path]
+//	               [-repro-dir dir] [-minimize=false] [-gamma-summaries]
+//	               [-cpuprofile path] [-memprofile path]
 //
 // Seeds are swept on -parallel workers; the findings and the -json
 // report are bit-identical for any worker count. With -mutate, the

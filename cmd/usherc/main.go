@@ -42,6 +42,7 @@ import (
 	"github.com/valueflow/usher/internal/module"
 	"github.com/valueflow/usher/internal/passes"
 	"github.com/valueflow/usher/internal/pipeline"
+	"github.com/valueflow/usher/internal/pool"
 	"github.com/valueflow/usher/internal/stats"
 	"github.com/valueflow/usher/internal/workload"
 )
@@ -67,9 +68,6 @@ func main() {
 			os.Exit(1)
 		}
 	}()
-	if err := sf.Validate(); err != nil {
-		fatal(err)
-	}
 	sf.Apply()
 
 	stopProfiles, err := pf.Start()
@@ -107,7 +105,7 @@ func main() {
 			fmt.Print(flat)
 			return
 		}
-		res, err := module.Build(files, module.Options{Stats: sc, Parallel: bench.DefaultParallelism()})
+		res, err := module.Build(files, module.Options{Stats: sc, Parallel: pool.DefaultParallelism()})
 		if err != nil {
 			fatal(err)
 		}

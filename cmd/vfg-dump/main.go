@@ -41,9 +41,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: vfg-dump [flags] file.c")
 		os.Exit(1)
 	}
-	if err := sf.Validate(); err != nil {
-		fatal(err)
-	}
 	sf.Apply()
 	stopProfiles, err := pf.Start()
 	if err != nil {

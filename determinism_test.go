@@ -1,13 +1,10 @@
 package usher_test
 
 import (
-	"reflect"
 	"testing"
 
 	"github.com/valueflow/usher"
 	"github.com/valueflow/usher/internal/passes"
-	"github.com/valueflow/usher/internal/pointer"
-	"github.com/valueflow/usher/internal/stats"
 	"github.com/valueflow/usher/internal/workload"
 )
 
@@ -35,54 +32,5 @@ func TestCompileAndAnalyzeDeterministic(t *testing.T) {
 	a, b := fp(), fp()
 	if a != b {
 		t.Fatalf("two compilations of the same source produced different plans:\n%s\n---\n%s", a, b)
-	}
-}
-
-// TestSolverWorkersDeterministic extends the determinism contract to
-// the parallel solver: the whole pipeline's deterministic stats fields
-// (pass runs and work counters — wall time and allocations scrubbed)
-// and the emitted plans must be bit-identical at ANY -solver-workers
-// value, including the classic sequential solver (workers=0). This is
-// what lets usher-bench document results without recording the worker
-// count they were solved with.
-func TestSolverWorkersDeterministic(t *testing.T) {
-	p, ok := workload.ByName("equake")
-	if !ok {
-		t.Fatal("no workload equake")
-	}
-	src := workload.Generate(p)
-	pipelineAt := func(workers int) ([]stats.PassStats, string) {
-		prev := pointer.Workers
-		pointer.Workers = workers
-		defer func() { pointer.Workers = prev }()
-		prog, err := usher.Compile(p.Name+".c", src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := passes.Apply(prog, passes.O0IM); err != nil {
-			t.Fatal(err)
-		}
-		sc := stats.New()
-		sess := usher.NewSessionObserved(prog, sc)
-		as, err := sess.AnalyzeAll(usher.ExtendedConfigs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fps := ""
-		for _, a := range as {
-			fps += a.Plan.Fingerprint()
-		}
-		return stats.Scrub(sc.Snapshot()), fps
-	}
-	baseStats, baseFPs := pipelineAt(0)
-	for _, w := range []int{1, 2, 4, 8} {
-		st, fps := pipelineAt(w)
-		if fps != baseFPs {
-			t.Errorf("workers=%d: plan fingerprints diverge from sequential", w)
-		}
-		if !reflect.DeepEqual(st, baseStats) {
-			t.Errorf("workers=%d: scrubbed pass stats diverge from sequential:\n got %+v\nwant %+v",
-				w, st, baseStats)
-		}
 	}
 }

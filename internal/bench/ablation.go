@@ -11,6 +11,7 @@ import (
 	"github.com/valueflow/usher/internal/memssa"
 	"github.com/valueflow/usher/internal/passes"
 	"github.com/valueflow/usher/internal/pointer"
+	"github.com/valueflow/usher/internal/pool"
 	"github.com/valueflow/usher/internal/ssa"
 	"github.com/valueflow/usher/internal/vfg"
 	"github.com/valueflow/usher/internal/workload"
@@ -40,7 +41,7 @@ type AblationRow struct {
 
 // Ablations measures every design-choice ablation over the suite with
 // the default parallelism.
-func Ablations() ([]AblationRow, error) { return AblationsParallel(DefaultParallelism()) }
+func Ablations() ([]AblationRow, error) { return AblationsParallel(pool.DefaultParallelism()) }
 
 // AblationsParallel runs the ablation study using up to parallel workers
 // across profiles. Each row builds its own graphs, so rows are fully
@@ -48,7 +49,7 @@ func Ablations() ([]AblationRow, error) { return AblationsParallel(DefaultParall
 func AblationsParallel(parallel int) ([]AblationRow, error) {
 	profiles := workload.Profiles
 	rows := make([]AblationRow, len(profiles))
-	err := ForEach(parallel, len(profiles), func(i int) error {
+	err := pool.ForEach(parallel, len(profiles), func(i int) error {
 		row, err := ablationRow(profiles[i])
 		if err != nil {
 			return err

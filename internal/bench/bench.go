@@ -28,6 +28,7 @@ import (
 	"github.com/valueflow/usher/internal/ir"
 	"github.com/valueflow/usher/internal/passes"
 	"github.com/valueflow/usher/internal/pipeline"
+	"github.com/valueflow/usher/internal/pool"
 	"github.com/valueflow/usher/internal/stats"
 	"github.com/valueflow/usher/internal/vfg"
 	"github.com/valueflow/usher/internal/workload"
@@ -113,7 +114,7 @@ type Table1Row struct {
 
 // Table1 computes the static statistics of every benchmark under O0+IM
 // with the default parallelism.
-func Table1() ([]Table1Row, error) { return Table1Parallel(DefaultParallelism()) }
+func Table1() ([]Table1Row, error) { return Table1Parallel(pool.DefaultParallelism()) }
 
 // Table1Parallel computes Table 1 using up to parallel workers.
 // Generation, compilation and optimization run concurrently across
@@ -132,7 +133,7 @@ func Table1Parallel(parallel int) ([]Table1Row, error) {
 func Table1Observed(parallel int, sc *stats.Collector) ([]Table1Row, error) {
 	profiles := workload.Profiles
 	compiled := make([]*Compiled, len(profiles))
-	err := ForEach(parallel, len(profiles), func(i int) error {
+	err := pool.ForEach(parallel, len(profiles), func(i int) error {
 		c, err := PrepareObserved(profiles[i], passes.O0IM, sc)
 		if err != nil {
 			return err
@@ -276,7 +277,7 @@ type OverheadRow struct {
 // benchmark under the given optimization level (O0+IM for the paper's
 // Figure 10; O1/O2 for §4.6), with the default parallelism.
 func Fig10(level passes.Level) ([]OverheadRow, error) {
-	return Fig10Parallel(level, DefaultParallelism())
+	return Fig10Parallel(level, pool.DefaultParallelism())
 }
 
 // Fig10Parallel is Fig10 with an explicit worker bound, applied at two
@@ -303,7 +304,7 @@ func Fig10Profiles(profiles []workload.Profile, level passes.Level, parallel int
 // Fig10Observed is Fig10Profiles with per-pass observability into sc.
 func Fig10Observed(profiles []workload.Profile, level passes.Level, parallel int, sc *stats.Collector) ([]OverheadRow, error) {
 	rows := make([]OverheadRow, len(profiles))
-	err := ForEach(parallel, len(profiles), func(i int) error {
+	err := pool.ForEach(parallel, len(profiles), func(i int) error {
 		c, err := PrepareObserved(profiles[i], level, sc)
 		if err != nil {
 			return err
@@ -330,7 +331,7 @@ func overheadRow(c *Compiled, parallel int, sc *stats.Collector) (OverheadRow, e
 	row.NativeSteps = native.Steps
 	session := usher.NewSessionObserved(c.Prog, sc)
 	row.Runs = make([]ConfigRun, len(usher.Configs))
-	err = ForEach(parallel, len(usher.Configs), func(i int) error {
+	err = pool.ForEach(parallel, len(usher.Configs), func(i int) error {
 		cfg := usher.Configs[i]
 		an, err := session.Analyze(cfg)
 		if err != nil {
@@ -376,7 +377,7 @@ type StaticRow struct {
 
 // Fig11 computes the static instrumentation counts under O0+IM with the
 // default parallelism.
-func Fig11() ([]StaticRow, error) { return Fig11Parallel(DefaultParallelism()) }
+func Fig11() ([]StaticRow, error) { return Fig11Parallel(pool.DefaultParallelism()) }
 
 // Fig11Parallel computes Figure 11 using up to parallel workers across
 // profiles and across configurations within a profile (per-profile
@@ -389,14 +390,14 @@ func Fig11Parallel(parallel int) ([]StaticRow, error) {
 func Fig11Observed(parallel int, sc *stats.Collector) ([]StaticRow, error) {
 	profiles := workload.Profiles
 	rows := make([]StaticRow, len(profiles))
-	err := ForEach(parallel, len(profiles), func(i int) error {
+	err := pool.ForEach(parallel, len(profiles), func(i int) error {
 		c, err := PrepareObserved(profiles[i], passes.O0IM, sc)
 		if err != nil {
 			return err
 		}
 		session := usher.NewSessionObserved(c.Prog, sc)
 		sts := make([]instrument.Stats, len(usher.Configs))
-		err = ForEach(parallel, len(usher.Configs), func(j int) error {
+		err = pool.ForEach(parallel, len(usher.Configs), func(j int) error {
 			an, err := session.Analyze(usher.Configs[j])
 			if err != nil {
 				return fmt.Errorf("%s %v: %w", profiles[i].Name, usher.Configs[j], err)

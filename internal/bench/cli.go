@@ -8,27 +8,23 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"github.com/valueflow/usher/internal/pointer"
+	"github.com/valueflow/usher/internal/pool"
 	"github.com/valueflow/usher/internal/stats"
 	"github.com/valueflow/usher/internal/vfgsum"
 )
 
 // CommonFlags is the CLI plumbing shared by usher-bench and
 // usher-difftest: the worker bound, the JSON report path, per-pass
-// observability, solver parallelism and profiling. Centralizing it here
-// keeps the binaries' flag semantics (and the report schema they write)
-// from drifting apart.
+// observability, the Γ resolver selection and profiling. Centralizing it
+// here keeps the binaries' flag semantics (and the report schema they
+// write) from drifting apart.
 type CommonFlags struct {
-	// Parallel bounds the worker pool (see ForEach).
+	// Parallel bounds the worker pool (see pool.ForEach).
 	Parallel int
 	// JSONPath is the -json report destination ("" = no report).
 	JSONPath string
 	// Stats records whether -stats was requested.
 	Stats bool
-	// SolverWorkers is the pointer-solver worker count (0 = the classic
-	// sequential solver; >= 1 selects the wave solver). Applied
-	// process-wide by ApplySolver.
-	SolverWorkers int
 	// GammaSummaries routes Γ resolution through the Opt IV summary
 	// resolver (internal/vfgsum); results are bit-identical to the
 	// default dense resolver. Applied process-wide by ApplySolver.
@@ -40,24 +36,25 @@ type CommonFlags struct {
 }
 
 // RegisterCommonFlags registers -parallel, -json, -stats,
-// -solver-workers, -cpuprofile and -memprofile on fs with the shared
+// -gamma-summaries, -cpuprofile and -memprofile on fs with the shared
 // defaults and help text.
 func RegisterCommonFlags(fs *flag.FlagSet) *CommonFlags {
 	cf := &CommonFlags{Profile: RegisterProfileFlags(fs)}
-	fs.IntVar(&cf.Parallel, "parallel", DefaultParallelism(),
+	fs.IntVar(&cf.Parallel, "parallel", pool.DefaultParallelism(),
 		"max concurrent workers (results are identical for any value)")
 	fs.StringVar(&cf.JSONPath, "json", "", "write a machine-readable report to this path")
 	fs.BoolVar(&cf.Stats, "stats", false,
 		"collect and print per-pass pipeline stats (wall time, allocs, work counters)")
-	fs.IntVar(&cf.SolverWorkers, "solver-workers", 0,
-		"pointer-solver worker count (0 = sequential; results are identical for any value)")
-	fs.BoolVar(&cf.GammaSummaries, "gamma-summaries", false,
-		"resolve Γ through per-function definedness summaries (Opt IV; results are identical)")
+	fs.BoolVar(&cf.GammaSummaries, "gamma-summaries", false, gammaSummariesUsage)
 	return cf
 }
 
+// gammaSummariesUsage is the -gamma-summaries help text, shared by both
+// registrations.
+const gammaSummariesUsage = "resolve Γ through per-function definedness summaries (Opt IV; results are identical)"
+
 // Validate rejects flag values the pools would silently misinterpret:
-// ForEach treats parallel <= 1 as "sequential", so a mistyped
+// pool.ForEach treats parallel <= 1 as "sequential", so a mistyped
 // "-parallel -4" or "-parallel 0" would not fail, it would quietly
 // serialize a benchmark run. Call after flag parsing, before any work;
 // every binary sharing these flags applies the same rule.
@@ -65,49 +62,32 @@ func (cf *CommonFlags) Validate() error {
 	if cf.Parallel < 1 {
 		return fmt.Errorf("-parallel must be at least 1 worker, got %d", cf.Parallel)
 	}
-	return validateSolverWorkers(cf.SolverWorkers)
-}
-
-// ApplySolver installs the requested solver selections process-wide —
-// the pointer-solver worker count and the Γ resolution strategy. Call it
-// once, after Validate and before any analysis.
-func (cf *CommonFlags) ApplySolver() {
-	pointer.Workers = cf.SolverWorkers
-	vfgsum.Enabled = cf.GammaSummaries
-}
-
-func validateSolverWorkers(n int) error {
-	if n < 0 {
-		return fmt.Errorf("-solver-workers must be 0 (sequential solver) or a positive worker count, got %d", n)
-	}
 	return nil
 }
 
-// SolverFlag is the -solver-workers/-gamma-summaries registration for
-// binaries that do not take the full CommonFlags set (usherc, vfg-dump):
-// the same flag names, defaults, help text and validation rules as
-// RegisterCommonFlags, without the pool/report plumbing.
+// ApplySolver installs the requested Γ resolution strategy
+// process-wide. Call it once, after Validate and before any analysis.
+func (cf *CommonFlags) ApplySolver() {
+	vfgsum.Enabled = cf.GammaSummaries
+}
+
+// SolverFlag is the -gamma-summaries registration for binaries that do
+// not take the full CommonFlags set (usherc, vfg-dump): the same flag
+// name, default and help text as RegisterCommonFlags, without the
+// pool/report plumbing.
 type SolverFlag struct {
-	Workers        int
 	GammaSummaries bool
 }
 
-// RegisterSolverFlag registers -solver-workers and -gamma-summaries on fs.
+// RegisterSolverFlag registers -gamma-summaries on fs.
 func RegisterSolverFlag(fs *flag.FlagSet) *SolverFlag {
 	sf := &SolverFlag{}
-	fs.IntVar(&sf.Workers, "solver-workers", 0,
-		"pointer-solver worker count (0 = sequential; results are identical for any value)")
-	fs.BoolVar(&sf.GammaSummaries, "gamma-summaries", false,
-		"resolve Γ through per-function definedness summaries (Opt IV; results are identical)")
+	fs.BoolVar(&sf.GammaSummaries, "gamma-summaries", false, gammaSummariesUsage)
 	return sf
 }
 
-// Validate rejects a negative worker count with the shared diagnostic.
-func (sf *SolverFlag) Validate() error { return validateSolverWorkers(sf.Workers) }
-
-// Apply installs the selections process-wide (see CommonFlags.ApplySolver).
+// Apply installs the selection process-wide (see CommonFlags.ApplySolver).
 func (sf *SolverFlag) Apply() {
-	pointer.Workers = sf.Workers
 	vfgsum.Enabled = sf.GammaSummaries
 }
 

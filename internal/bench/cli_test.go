@@ -9,7 +9,7 @@ import (
 
 // TestCommonFlagsValidate pins the shared validation rule all driver
 // binaries apply after flag parsing: the pools treat out-of-range values
-// leniently (ForEach serializes on parallel <= 1), so the CLI must
+// leniently (pool.ForEach serializes on parallel <= 1), so the CLI must
 // reject them loudly instead of silently degrading a run.
 func TestCommonFlagsValidate(t *testing.T) {
 	cases := []struct {
@@ -18,11 +18,9 @@ func TestCommonFlagsValidate(t *testing.T) {
 	}{
 		{nil, ""},
 		{[]string{"-parallel", "1"}, ""},
-		{[]string{"-parallel", "8", "-solver-workers", "4"}, ""},
-		{[]string{"-solver-workers", "0"}, ""},
+		{[]string{"-parallel", "8", "-gamma-summaries"}, ""},
 		{[]string{"-parallel", "0"}, "-parallel"},
 		{[]string{"-parallel", "-3"}, "-parallel"},
-		{[]string{"-solver-workers", "-1"}, "-solver-workers"},
 	}
 	for _, tc := range cases {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -46,24 +44,29 @@ func TestCommonFlagsValidate(t *testing.T) {
 	}
 }
 
-// TestSolverFlagMatchesCommon keeps the standalone -solver-workers
-// registration (usherc, vfg-dump, usherd) in lockstep with the
-// CommonFlags one: same default, same validation outcome.
+// TestSolverFlagMatchesCommon keeps the standalone -gamma-summaries
+// registration (usherc, vfg-dump) in lockstep with the CommonFlags one:
+// same default, same help text, same effect once parsed.
 func TestSolverFlagMatchesCommon(t *testing.T) {
-	for _, workers := range []int{-2, -1, 0, 1, 8} {
-		sf := &SolverFlag{Workers: workers}
-		cf := &CommonFlags{Parallel: 1, SolverWorkers: workers}
-		sfErr, cfErr := sf.Validate(), cf.Validate()
-		if (sfErr == nil) != (cfErr == nil) {
-			t.Errorf("workers=%d: SolverFlag err %v, CommonFlags err %v", workers, sfErr, cfErr)
-		}
+	cfs := flag.NewFlagSet("common", flag.ContinueOnError)
+	cf := RegisterCommonFlags(cfs)
+	sfs := flag.NewFlagSet("solver", flag.ContinueOnError)
+	sf := RegisterSolverFlag(sfs)
+	cfl, sfl := cfs.Lookup("gamma-summaries"), sfs.Lookup("gamma-summaries")
+	if cfl == nil || sfl == nil {
+		t.Fatalf("-gamma-summaries missing: common %v, solver %v", cfl, sfl)
 	}
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	sf := RegisterSolverFlag(fs)
-	if err := fs.Parse(nil); err != nil {
+	if cfl.DefValue != sfl.DefValue || cfl.Usage != sfl.Usage {
+		t.Errorf("registrations differ: common (%q, %q), solver (%q, %q)",
+			cfl.DefValue, cfl.Usage, sfl.DefValue, sfl.Usage)
+	}
+	if err := cfs.Parse([]string{"-gamma-summaries"}); err != nil {
 		t.Fatal(err)
 	}
-	if sf.Workers != 0 {
-		t.Errorf("default solver workers = %d, want 0 (sequential)", sf.Workers)
+	if err := sfs.Parse([]string{"-gamma-summaries"}); err != nil {
+		t.Fatal(err)
+	}
+	if !cf.GammaSummaries || !sf.GammaSummaries {
+		t.Errorf("parsed -gamma-summaries: common %v, solver %v, want both true", cf.GammaSummaries, sf.GammaSummaries)
 	}
 }

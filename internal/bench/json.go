@@ -35,7 +35,13 @@ type LevelRows struct {
 // campaign: the report's "mutants" counts replayed mutants and each
 // finding may carry a "mutation" tag naming the semantic mutation
 // (kind#index) that planted the divergence.
-const SchemaVersion = 4
+//
+// v5: the pointer analysis has one solver, and the harnesses that
+// predate perfbench are retired. Removed fields: "solver" (solver
+// implementation name), "solver_workers" (parallel-solver worker count),
+// "solver_scale" (the solver-scaling section) and "incremental" (the
+// multi-file build section).
+const SchemaVersion = 5
 
 // Report is the machine-readable form of one usher-bench invocation,
 // written by the -json flag. It captures everything the text renderers
@@ -49,12 +55,6 @@ type Report struct {
 	NumCPU        int    `json:"num_cpu"`
 	GOMAXPROCS    int    `json:"gomaxprocs"`
 	Parallel      int    `json:"parallel"`
-	// Solver names the pointer-solver implementation the run used
-	// ("bitvector" or "legacy", see usher-bench -legacy-solver).
-	Solver string `json:"solver,omitempty"`
-	// SolverWorkers is the -solver-workers value (0 = sequential). All
-	// reported results are bit-identical for any value; only timings move.
-	SolverWorkers int `json:"solver_workers"`
 	// GammaSummaries is the -gamma-summaries value: whether Γ resolution
 	// ran through the Opt IV summary resolver. Results are bit-identical
 	// either way; only timings move.
@@ -75,13 +75,6 @@ type Report struct {
 	Fig10     []LevelRows   `json:"fig10,omitempty"`
 	Fig11     []StaticRow   `json:"fig11,omitempty"`
 	Ablations []AblationRow `json:"ablations,omitempty"`
-	// SolverScale is the -solver-scale section: wave-solver scaling over
-	// the XL profiles and snapshot warm-start timings (additive — older
-	// readers ignore it, so the schema version is unchanged).
-	SolverScale *SolverScaleResult `json:"solver_scale,omitempty"`
-	// Incremental is the -incremental section: multi-file module builds,
-	// cold vs. warm vs. after a 1-line edit (also additive).
-	Incremental *IncrementalResult `json:"incremental,omitempty"`
 	// Resolve is the -resolve-scale section: summary-based Γ resolution
 	// against the dense baseline over the resolve-stress XL profiles and
 	// module projects.

@@ -35,6 +35,17 @@ import (
 // from the dense leg is a hard error — the speedup table is only worth
 // committing if the results are bit-identical.
 
+// moduleProjects are the module-project rows.
+var moduleProjects = []workload.ModuleProject{workload.DefaultModuleProject, workload.WideModuleProject}
+
+func toFiles(mf []workload.ModuleFile) []module.File {
+	out := make([]module.File, len(mf))
+	for i, f := range mf {
+		out[i] = module.File{Name: f.Name, Source: f.Source}
+	}
+	return out
+}
+
 // ResolveScaleWorkerCounts is the default summary-leg sweep.
 var ResolveScaleWorkerCounts = []int{1, 2, 4}
 
@@ -95,7 +106,7 @@ func ResolveScale(workerCounts []int) (*ResolveScaleResult, error) {
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	for _, mp := range incrementalProjects {
+	for _, mp := range moduleProjects {
 		files := toFiles(mp.GenerateModules())
 		name := fmt.Sprintf("%s-%d", mp.Name, mp.NumModules())
 		row, err := resolveScaleRow(name, "modules", workerCounts, func() (*ir.Program, error) {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"github.com/valueflow/usher/internal/bench"
+	"github.com/valueflow/usher/internal/pool"
 	"github.com/valueflow/usher/internal/randprog"
 	"github.com/valueflow/usher/internal/stats"
 )
@@ -61,8 +62,8 @@ type Report struct {
 	Seeds         int64            `json:"seeds"`
 	Generator     randprog.Options `json:"generator"`
 	// Checked counts seeds actually compared; Divergent counts findings.
-	Checked   int64     `json:"checked"`
-	Divergent int       `json:"divergent"`
+	Checked   int64 `json:"checked"`
+	Divergent int   `json:"divergent"`
 	// Mutants counts mutated programs replayed (mutation campaigns only).
 	Mutants  int64     `json:"mutants,omitempty"`
 	Findings []Finding `json:"findings,omitempty"`
@@ -76,7 +77,7 @@ func (r *Report) WriteJSON(path string) error {
 }
 
 // Campaign sweeps the seed range through the differential oracle on
-// opts.Parallel workers (reusing the deterministic usher-bench pool) and
+// opts.Parallel workers (the deterministic pool.ForEach pool) and
 // returns the findings ordered by seed. A divergence is a *finding*, not
 // an error: the sweep always covers the whole range. The error return is
 // reserved for infrastructure failures.
@@ -104,7 +105,7 @@ func Campaign(opts CampaignOptions) (*Report, error) {
 	// findings[i] belongs to seed From+i: the slice is pre-sized and
 	// written by index, so ordering never depends on scheduling.
 	findings := make([]*Finding, opts.Seeds)
-	err := bench.ForEach(opts.Parallel, int(opts.Seeds), func(i int) error {
+	err := pool.ForEach(opts.Parallel, int(opts.Seeds), func(i int) error {
 		seed := opts.From + int64(i)
 		src, info := randprog.GenerateInfo(seed, gen)
 		div := checker.Check(src)
@@ -184,7 +185,7 @@ func MutationCampaign(opts MutationCampaignOptions) (*Report, error) {
 	// fully deterministic, so the report never depends on scheduling.
 	findings := make([][]Finding, opts.Seeds)
 	mutants := make([]int64, opts.Seeds)
-	err := bench.ForEach(opts.Parallel, int(opts.Seeds), func(i int) error {
+	err := pool.ForEach(opts.Parallel, int(opts.Seeds), func(i int) error {
 		seed := opts.From + int64(i)
 		src, info := randprog.GenerateInfo(seed, gen)
 		for _, m := range sampleMutations(src, seed, opts.MutantsPerSeed) {

@@ -3,7 +3,7 @@ package instrument_test
 import (
 	"testing"
 
-	"github.com/valueflow/usher/internal/compile"
+	"github.com/valueflow/usher"
 	"github.com/valueflow/usher/internal/instrument"
 	"github.com/valueflow/usher/internal/ir"
 	"github.com/valueflow/usher/internal/memssa"
@@ -14,7 +14,7 @@ import (
 // guidedPlan builds the guided plan (no optimizations) for src.
 func guidedPlan(t *testing.T, src string) (*ir.Program, *instrument.Plan) {
 	t.Helper()
-	prog := compile.MustSource("t.c", src)
+	prog := usher.MustCompile("t.c", src)
 	pa := pointer.Analyze(prog)
 	mem := memssa.Build(prog, pa)
 	g := vfg.Build(prog, pa, mem, vfg.Options{})

@@ -5,7 +5,7 @@ import (
 	"sort"
 	"testing"
 
-	"github.com/valueflow/usher/internal/compile"
+	"github.com/valueflow/usher"
 	"github.com/valueflow/usher/internal/instrument"
 	"github.com/valueflow/usher/internal/interp"
 )
@@ -27,7 +27,7 @@ int main() {
   print(v);
   return 0;
 }`
-	prog := compile.MustSource("t.c", src)
+	prog := usher.MustCompile("t.c", src)
 	res, err := interp.Run(prog, "main", nil, interp.Options{})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -74,7 +74,7 @@ int main() {
   int *p = 0;
   return p[0];
 }`
-	prog := compile.MustSource("t.c", src)
+	prog := usher.MustCompile("t.c", src)
 	_, err := interp.Run(prog, "main", nil, interp.Options{})
 	var re *interp.RuntimeError
 	if !errors.As(err, &re) {

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
-	"github.com/valueflow/usher/internal/compile"
+	"github.com/valueflow/usher"
 	"github.com/valueflow/usher/internal/instrument"
 	"github.com/valueflow/usher/internal/interp"
 	"github.com/valueflow/usher/internal/ir"
@@ -17,7 +17,7 @@ import (
 // compileO0IM compiles src at the paper's O0+IM level.
 func compileO0IM(t *testing.T, src string) *ir.Program {
 	t.Helper()
-	prog := compile.MustSource("t.c", src)
+	prog := usher.MustCompile("t.c", src)
 	if err := passes.Apply(prog, passes.O0IM); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestMemmoveOverlap(t *testing.T) {
 			}
 		}
 
-		prog := compile.MustSource("t.c", src)
+		prog := usher.MustCompile("t.c", src)
 		native, err := interp.Run(prog, "main", nil, interp.Options{})
 		if err != nil {
 			t.Fatalf("%s: native run: %v", tc.name, err)
@@ -240,7 +240,7 @@ int main() {
 // plan never initializes: every copied cell is a violation, and its
 // shadow lands as T, so later loads of the copy read written shadows.
 func TestUninitShadowCopyLandsAsT(t *testing.T) {
-	prog := compile.MustSource("t.c", `int main() {
+	prog := usher.MustCompile("t.c", `int main() {
   int s[3];
   int d[3];
   memcpy(d, s, 3);

@@ -4,14 +4,14 @@ import (
 	"errors"
 	"testing"
 
-	"github.com/valueflow/usher/internal/compile"
+	"github.com/valueflow/usher"
 	"github.com/valueflow/usher/internal/instrument"
 	"github.com/valueflow/usher/internal/interp"
 )
 
 func run(t *testing.T, src string, args ...int64) *interp.Result {
 	t.Helper()
-	irp := compile.MustSource("t.c", src)
+	irp := usher.MustCompile("t.c", src)
 	var vals []interp.Value
 	for _, a := range args {
 		vals = append(vals, interp.IntVal(a))
@@ -256,7 +256,7 @@ int main() { int v = f(0); if (v) { return 1; } return 0; }`)
 }
 
 func TestRuntimeErrorNullDeref(t *testing.T) {
-	irp := compile.MustSource("t.c", `int main() { int *p = 0; return *p; }`)
+	irp := usher.MustCompile("t.c", `int main() { int *p = 0; return *p; }`)
 	_, err := interp.Run(irp, "main", nil, interp.Options{})
 	var re *interp.RuntimeError
 	if !errors.As(err, &re) {
@@ -265,7 +265,7 @@ func TestRuntimeErrorNullDeref(t *testing.T) {
 }
 
 func TestRuntimeErrorUseAfterFree(t *testing.T) {
-	irp := compile.MustSource("t.c", `
+	irp := usher.MustCompile("t.c", `
 int main() {
   int *p = malloc(1);
   free(p);
@@ -279,7 +279,7 @@ int main() {
 }
 
 func TestStepBudget(t *testing.T) {
-	irp := compile.MustSource("t.c", `int main() { while (1) {} return 0; }`)
+	irp := usher.MustCompile("t.c", `int main() { while (1) {} return 0; }`)
 	_, err := interp.Run(irp, "main", nil, interp.Options{MaxSteps: 1000})
 	var re *interp.RuntimeError
 	if !errors.As(err, &re) {
@@ -288,7 +288,7 @@ func TestStepBudget(t *testing.T) {
 }
 
 func TestStackOverflow(t *testing.T) {
-	irp := compile.MustSource("t.c", `int f(int n) { return f(n + 1); } int main() { return f(0); }`)
+	irp := usher.MustCompile("t.c", `int f(int n) { return f(n + 1); } int main() { return f(0); }`)
 	_, err := interp.Run(irp, "main", nil, interp.Options{MaxDepth: 64})
 	var re *interp.RuntimeError
 	if !errors.As(err, &re) {
@@ -299,7 +299,7 @@ func TestStackOverflow(t *testing.T) {
 // runShadow executes under the full-instrumentation (MSan model) plan.
 func runShadow(t *testing.T, src string, args ...int64) *interp.Result {
 	t.Helper()
-	irp := compile.MustSource("t.c", src)
+	irp := usher.MustCompile("t.c", src)
 	plan := instrument.Full(irp)
 	var vals []interp.Value
 	for _, a := range args {
@@ -428,7 +428,7 @@ int main() {
 func TestDanglingStackPointerTraps(t *testing.T) {
 	// Stack storage dies with its activation; dereferencing an escaped
 	// pointer afterwards is C UB and traps here.
-	irp := compile.MustSource("t.c", `
+	irp := usher.MustCompile("t.c", `
 int *escape() {
   int local = 5;
   return &local;
@@ -484,7 +484,7 @@ int main() { return pick(1); }`
 func TestLoopedStackAllocasAllDie(t *testing.T) {
 	// After inlining, an alloca can execute repeatedly inside a loop; each
 	// instance must die at function return.
-	irp := compile.MustSource("t.c", `
+	irp := usher.MustCompile("t.c", `
 int g_hold;
 int *leak() {
   int local = 7;

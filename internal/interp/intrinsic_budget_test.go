@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/valueflow/usher/internal/compile"
+	"github.com/valueflow/usher"
 	"github.com/valueflow/usher/internal/interp"
 )
 
@@ -17,7 +17,7 @@ import (
 
 func runOpts(t *testing.T, src string, opts interp.Options) (*interp.Result, error) {
 	t.Helper()
-	irp := compile.MustSource("budget.c", src)
+	irp := usher.MustCompile("budget.c", src)
 	return interp.Run(irp, "main", nil, opts)
 }
 

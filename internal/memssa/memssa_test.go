@@ -3,7 +3,7 @@ package memssa_test
 import (
 	"testing"
 
-	"github.com/valueflow/usher/internal/compile"
+	"github.com/valueflow/usher"
 	"github.com/valueflow/usher/internal/ir"
 	"github.com/valueflow/usher/internal/memssa"
 	"github.com/valueflow/usher/internal/pointer"
@@ -11,7 +11,7 @@ import (
 
 func build(t *testing.T, src string) (*ir.Program, *memssa.Info) {
 	t.Helper()
-	irp := compile.MustSource("t.c", src)
+	irp := usher.MustCompile("t.c", src)
 	pa := pointer.Analyze(irp)
 	return irp, memssa.Build(irp, pa)
 }

@@ -47,9 +47,9 @@ int main() {
 `},
 }
 
-func projectFiles(t *testing.T) []module.File {
-	t.Helper()
-	mf := workload.DefaultModuleProject.GenerateModules()
+// projectFiles generates p's modules as build inputs.
+func projectFiles(p workload.ModuleProject) []module.File {
+	mf := p.GenerateModules()
 	out := make([]module.File, len(mf))
 	for i, f := range mf {
 		out[i] = module.File{Name: f.Name, Source: f.Source}
@@ -119,7 +119,8 @@ func TestBuildMatchesFlattened(t *testing.T) {
 		files []module.File
 	}{
 		{"hand-written", testFiles},
-		{"modproj-50", projectFiles(t)},
+		{"modproj-50", projectFiles(workload.DefaultModuleProject)},
+		{"modproj-wide-135", projectFiles(workload.WideModuleProject)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := module.Build(tc.files, module.Options{})
@@ -174,7 +175,7 @@ func delta(before, after map[string]int64) map[string]int64 {
 // its dependents; and the warm result's warning sites are bit-identical
 // to a cold full analysis of the same sources.
 func TestIncrementalInvalidation(t *testing.T) {
-	files := projectFiles(t)
+	files := projectFiles(workload.DefaultModuleProject)
 	cache := module.NewCache(256 << 20)
 	sc := stats.New()
 
@@ -258,7 +259,7 @@ func TestIncrementalInvalidation(t *testing.T) {
 // TestBuildParallelDeterminism pins that the linked program is
 // byte-identical for sequential and parallel batch compiles.
 func TestBuildParallelDeterminism(t *testing.T) {
-	files := projectFiles(t)
+	files := projectFiles(workload.DefaultModuleProject)
 	seq, err := module.Build(files, module.Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +295,7 @@ func TestBuildLinkErrors(t *testing.T) {
 // TestCacheSingleFlight pins that concurrent builds of the same hash
 // coalesce onto one compile (run under -race in CI).
 func TestCacheSingleFlight(t *testing.T) {
-	files := projectFiles(t)
+	files := projectFiles(workload.DefaultModuleProject)
 	cache := module.NewCache(256 << 20)
 	const builders = 6
 	var wg sync.WaitGroup

@@ -8,7 +8,7 @@
 // the hashes of its direct dependencies, so editing a module changes
 // exactly its own key and its dependents' — and compiles modules in
 // parallel topological batches: every module in a batch depends only on
-// earlier batches, so a batch compiles with bench.ForEach concurrency
+// earlier batches, so a batch compiles with pool.ForEach concurrency
 // while the build stays deterministic.
 //
 // A module compiles against the *exports* of its transitive

@@ -3,7 +3,7 @@ package passes_test
 import (
 	"testing"
 
-	"github.com/valueflow/usher/internal/compile"
+	"github.com/valueflow/usher"
 	"github.com/valueflow/usher/internal/interp"
 	"github.com/valueflow/usher/internal/ir"
 	"github.com/valueflow/usher/internal/passes"
@@ -27,8 +27,8 @@ func runProg(t *testing.T, prog *ir.Program, args ...int64) *interp.Result {
 // copy, and compares results.
 func checkSemantics(t *testing.T, src string, level passes.Level, args ...int64) (*ir.Program, *ir.Program) {
 	t.Helper()
-	plain := compile.MustSource("t.c", src)
-	opt := compile.MustSource("t.c", src)
+	plain := usher.MustCompile("t.c", src)
+	opt := usher.MustCompile("t.c", src)
 	if err := passes.Apply(opt, level); err != nil {
 		t.Fatalf("apply %v: %v", level, err)
 	}
@@ -79,7 +79,7 @@ func TestInlineFunctionPointerArgs(t *testing.T) {
 int inc(int x) { return x + 1; }
 int apply(int (*f)(int), int v) { return f(v); }
 int main() { return apply(inc, 41); }`
-	prog := compile.MustSource("t.c", src)
+	prog := usher.MustCompile("t.c", src)
 	n := passes.InlineFunctionPointerArgs(prog)
 	if n == 0 {
 		t.Fatal("apply (function-pointer arg) was not inlined")
@@ -113,7 +113,7 @@ int main() {
   b[0] = 2;
   return a[0] + b[0];
 }`
-	prog := compile.MustSource("t.c", src)
+	prog := usher.MustCompile("t.c", src)
 	n := passes.InlineAllocWrappers(prog)
 	if n != 2 {
 		t.Fatalf("inlined %d wrapper calls, want 2", n)
@@ -145,7 +145,7 @@ int main() {
   if (b == 20) { return 1; }
   return 0;
 }`
-	prog := compile.MustSource("t.c", src)
+	prog := usher.MustCompile("t.c", src)
 	if err := passes.Apply(prog, passes.O1); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ int main() {
   int dead = p[2];
   return p[0];
 }`
-	prog := compile.MustSource("t.c", src)
+	prog := usher.MustCompile("t.c", src)
 	before := countLoads(prog)
 	passes.DCE(prog)
 	after := countLoads(prog)
@@ -213,7 +213,7 @@ int main(int x) {
   int b = x * 7;
   return a + b;
 }`
-	prog := compile.MustSource("t.c", src)
+	prog := usher.MustCompile("t.c", src)
 	n := passes.CSE(prog)
 	if n == 0 {
 		t.Error("CSE found no duplicate x*7")
@@ -228,7 +228,7 @@ func TestRecursionNotInlined(t *testing.T) {
 	src := `
 int fact(int n) { if (n < 2) { return 1; } return n * fact(n - 1); }
 int main() { return fact(5); }`
-	prog := compile.MustSource("t.c", src)
+	prog := usher.MustCompile("t.c", src)
 	if err := passes.Apply(prog, passes.O2); err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +250,8 @@ int main() {
   int dead = p[1];
   return p[0];
 }`
-	plain := compile.MustSource("t.c", src)
-	opt := compile.MustSource("t.c", src)
+	plain := usher.MustCompile("t.c", src)
+	opt := usher.MustCompile("t.c", src)
 	if err := passes.Apply(opt, passes.O1); err != nil {
 		t.Fatal(err)
 	}

@@ -121,8 +121,7 @@ func CompileUnit(astProg *ast.Program, variant string, sc *stats.Collector) (*ir
 // Compile runs the frontend passes — parse, typecheck, lower, mem2reg,
 // verify — producing SSA-form IR (the paper's O0 baseline; apply further
 // levels with ApplyLevel). It is the implementation behind
-// compile.Source, with each stage observed into sc (nil records
-// nothing).
+// usher.Compile, with each stage observed into sc (nil records nothing).
 //
 // Compile never panics on malformed input: every frontend problem is
 // reported as positioned diagnostics (see package diag), and an

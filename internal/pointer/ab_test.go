@@ -8,8 +8,10 @@ import (
 	"testing"
 
 	"github.com/valueflow/usher"
+	"github.com/valueflow/usher/internal/interp"
 	"github.com/valueflow/usher/internal/ir"
 	"github.com/valueflow/usher/internal/passes"
+	"github.com/valueflow/usher/internal/pipeline"
 	"github.com/valueflow/usher/internal/pointer"
 	"github.com/valueflow/usher/internal/randprog"
 	"github.com/valueflow/usher/internal/workload"
@@ -168,15 +170,16 @@ func TestSolverABRandprog(t *testing.T) {
 	}
 }
 
+// usherPlan is the full Usher configuration's plan spec (usher.ConfigUsherFull).
+var usherPlan = pipeline.PlanSpec{Name: "Usher", OptI: true, OptII: true}
+
 // warningsFor runs the full pipeline (analysis, instrumentation, guided
-// execution) with the chosen solver and returns the canonical shadow and
-// oracle warning sites.
+// execution) and returns the canonical shadow and oracle warning sites.
+// With legacy set, the store is seeded with the reference solver's result
+// before any pass runs, so every downstream pass consumes it in place of
+// the production solve; both sides otherwise take the identical path.
 func warningsFor(t *testing.T, name, src string, legacy bool) string {
 	t.Helper()
-	prev := pointer.UseLegacySolver
-	pointer.UseLegacySolver = legacy
-	defer func() { pointer.UseLegacySolver = prev }()
-
 	prog, err := usher.Compile(name, src)
 	if err != nil {
 		t.Fatalf("%s: compile: %v", name, err)
@@ -184,11 +187,15 @@ func warningsFor(t *testing.T, name, src string, legacy bool) string {
 	if err := passes.Apply(prog, passes.O0IM); err != nil {
 		t.Fatalf("%s: passes: %v", name, err)
 	}
-	a, err := usher.Analyze(prog, usher.ConfigUsherFull)
-	if err != nil {
-		t.Fatalf("%s: analyze: %v", name, err)
+	st := pipeline.NewStore(prog, nil)
+	if legacy && !st.Preload("pointer", "", pointer.AnalyzeLegacy(prog)) {
+		t.Fatalf("%s: legacy pointer result not seeded", name)
 	}
-	res, err := a.Run(usher.RunOptions{})
+	pr, err := st.Plan(usherPlan)
+	if err != nil {
+		t.Fatalf("%s: plan: %v", name, err)
+	}
+	res, err := interp.Run(prog, "main", nil, interp.Options{Shadow: &interp.ShadowConfig{Plan: pr.Plan}})
 	if err != nil {
 		// Generated programs may trap (uninitialized pointers): the trap
 		// itself must still be solver-independent, so record it.

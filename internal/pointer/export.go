@@ -62,8 +62,8 @@ type CallEdges struct {
 }
 
 // Export flattens the Result for serialization. It requires the
-// bit-vector solver's state; results produced by the legacy solver or by
-// Import itself are not exportable.
+// bit-vector solver's state; results produced by the tests' legacy
+// reference or by Import itself are not exportable.
 func (r *Result) Export(prog *ir.Program) (*Export, error) {
 	s, ok := r.solver.(*solver)
 	if !ok {

@@ -1,10 +1,9 @@
 package pointer
 
-// White-box benchmarks for the constraint-generation phase alone: the
+// White-box benchmark for the constraint-generation phase alone: the
 // two-level slice interning (regNodes/fieldNodes keyed by the IR's dense
-// ids) against the legacy struct-keyed map interning. The solve phase is
-// deliberately excluded — BenchmarkSolver* in solver_bench_test.go
-// covers it end to end.
+// ids). The solve phase is deliberately excluded — BenchmarkSolver* in
+// solver_bench_test.go covers it end to end.
 
 import (
 	"testing"
@@ -18,10 +17,9 @@ import (
 	"github.com/valueflow/usher/internal/workload"
 )
 
-// compileSource is a minimal frontend for these white-box benchmarks.
-// They live in package pointer (not pointer_test) for solver access, so
-// they cannot import internal/compile: its implementation lives in
-// internal/pipeline, which imports this package.
+// compileSource is a minimal frontend for this white-box benchmark. It
+// lives in package pointer (not pointer_test) for solver access, so it
+// cannot call pipeline.Compile: internal/pipeline imports this package.
 func compileSource(file, src string) (*ir.Program, error) {
 	astProg, err := parser.Parse(file, src)
 	if err != nil {
@@ -64,16 +62,6 @@ func BenchmarkSolverGenerate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := newSolver(prog)
-		s.generate()
-	}
-}
-
-func BenchmarkSolverGenerateLegacy(b *testing.B) {
-	prog := generateBenchProg(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := newLegacySolver(prog)
 		s.generate()
 	}
 }

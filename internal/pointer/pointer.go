@@ -40,9 +40,10 @@ func (l Loc) String() string {
 	return fmt.Sprintf("%s.f%d", l.Obj, l.Field)
 }
 
-// ptsSolver is the query surface both solver implementations (the
-// bit-vector production solver and the map-based legacy reference) expose
-// to Result. Both are strictly read-only after freezing.
+// ptsSolver is the query surface a solver exposes to Result: the
+// bit-vector solver (solver.go) and, in tests, the map-based legacy
+// reference it is diffed against (legacy_test.go). Both are strictly
+// read-only after freezing.
 type ptsSolver interface {
 	operandNode(v ir.Value, create bool) (int, bool)
 	locsOf(n int) []Loc
@@ -60,13 +61,12 @@ type SolverStats struct {
 	// counts copy-edge insertions over the whole solve.
 	Constraints, CopyEdges int
 	// Visits counts worklist visits that processed a non-empty delta;
-	// Waves counts worklist rounds (the wave-parallel solver's barrier
-	// count — identical at every worker count, see parallel.go).
+	// Waves counts worklist rounds (see solver.solve).
 	Visits int
 	Waves  int
 	// SCCsCollapsed counts multi-node copy cycles folded by online cycle
-	// elimination. The legacy solver reports only Nodes (it predates these
-	// counters).
+	// elimination. The test-only legacy reference reports only Nodes (it
+	// predates these counters).
 	SCCsCollapsed int
 }
 
@@ -130,40 +130,23 @@ func (r *Result) CanonField(obj *ir.Object, field int) int {
 	return obj.FieldIndex(field)
 }
 
-// UseLegacySolver routes Analyze through the retired map-based solver
-// (legacy.go) instead of the bit-vector one. It exists for differential
-// testing and baseline benchmarking (usher-bench -legacy-solver) and must
-// be set before any analysis starts; it is not safe to flip concurrently
-// with running analyses.
-var UseLegacySolver bool
-
-// Analyze runs the analysis over the whole program, routing through the
-// solver selected by the package-level switches (UseLegacySolver, then
-// Workers; see AnalyzeWorkers).
+// Analyze runs the analysis over the whole program: constraint
+// generation, the worklist solve to a least fixpoint (solver.go), and the
+// read-only freeze that lets the Result be shared across goroutines.
 func Analyze(prog *ir.Program) *Result {
-	if UseLegacySolver {
-		return AnalyzeLegacy(prog)
-	}
-	return AnalyzeWorkers(prog, Workers)
-}
-
-// AnalyzeLegacy runs the original map-based solver (see legacy.go). Its
-// results are the reference the production solver is diffed against; use
-// Analyze everywhere else.
-func AnalyzeLegacy(prog *ir.Program) *Result {
-	s := newLegacySolver(prog)
+	s := newSolver(prog)
 	s.generate()
 	s.solve()
 	s.freeze()
 	res := finishResult(prog, s, s.callees)
-	res.Stats = SolverStats{Nodes: len(s.nodes)}
+	res.Stats = s.stats()
 	return res
 }
 
 // finishResult performs the implementation-independent post-processing:
 // canonical callee ordering, the callers index, and recursion detection.
-// Canonicalizing callees here makes the two solver implementations
-// byte-identical downstream even though their worklist dynamics resolve
+// Canonicalizing callees here makes the solver and the test-only legacy
+// reference byte-identical downstream even though their worklist dynamics resolve
 // indirect calls in different orders.
 func finishResult(prog *ir.Program, impl ptsSolver, callees map[*ir.Call][]*ir.Function) *Result {
 	res := &Result{
@@ -194,7 +177,7 @@ func finishResult(prog *ir.Program, impl ptsSolver, callees map[*ir.Call][]*ir.F
 // findRecursion marks functions in call-graph SCCs of size > 1 or with
 // self-loops, using Tarjan's algorithm over dense function indices (the
 // state is flat slices, not per-function maps — this runs on every
-// analysis, for either solver).
+// analysis).
 func (r *Result) findRecursion(prog *ir.Program) {
 	nf := len(prog.Funcs)
 	fnIdx := make(map[*ir.Function]int, nf)

@@ -4,14 +4,14 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/valueflow/usher/internal/compile"
+	"github.com/valueflow/usher"
 	"github.com/valueflow/usher/internal/ir"
 	"github.com/valueflow/usher/internal/pointer"
 )
 
 func analyze(t *testing.T, src string) (*ir.Program, *pointer.Result) {
 	t.Helper()
-	irp := compile.MustSource("t.c", src)
+	irp := usher.MustCompile("t.c", src)
 	return irp, pointer.Analyze(irp)
 }
 

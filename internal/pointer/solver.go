@@ -112,12 +112,11 @@ type solver struct {
 	lcdTriggers int
 
 	// visits counts worklist visits with a non-empty delta; waves counts
-	// worklist rounds (each round is one wave of the wave-parallel solver);
-	// sccCollapsed counts multi-node SCCs folded by collapseCycles. All
-	// feed SolverStats (pure functions of the input program: the worklist
-	// is deterministic — and the wave solver's schedule is worker-count
-	// independent, see parallel.go — so they are covered by the drivers'
-	// bit-identical reporting contract).
+	// worklist rounds (see solve); sccCollapsed counts multi-node SCCs
+	// folded by collapseCycles. All feed SolverStats (pure functions of the
+	// input program: the worklist is deterministic, so they are covered by
+	// the bit-identical reporting contract of usher-bench and
+	// usher-difftest).
 	visits       int
 	waves        int
 	sccCollapsed int
@@ -704,10 +703,8 @@ func (s *solver) solve() {
 // applyComplex applies nd's complex constraints (loads, stores, field and
 // index offsets, indirect calls) to every location in delta. Pure copy
 // nodes (the vast majority) have no complex constraints and return
-// immediately. Shared by the sequential worklist (solve) and the
-// wave-parallel solver's sequential barrier phase (solveWaves): complex
-// constraints mutate graph structure — new edges, new field nodes, object
-// collapses, call resolution — so both solvers run them single-threaded.
+// immediately. Complex constraints mutate graph structure — new edges,
+// new field nodes, object collapses, call resolution.
 func (s *solver) applyComplex(nd *node, delta *bitset.Set) {
 	if len(nd.loads)+len(nd.stores)+len(nd.fields)+len(nd.indexes)+len(nd.calls) == 0 {
 		return

@@ -99,25 +99,15 @@ func benchLargeProg(b *testing.B, name string) *ir.Program {
 	return prog
 }
 
-// The BenchmarkSolver* family drives the solver-scaling acceptance
-// criterion: the bit-vector solver vs the retired map-based baseline on
-// the same programs (see EXPERIMENTS.md, "Solver scaling"). CI runs them
-// with -benchtime=1x as a smoke test; the recorded numbers in
-// BENCH_solver_baseline.json come from a full -benchtime run.
+// The BenchmarkSolver* family times the solver on the solver-scaling
+// profiles (see EXPERIMENTS.md, "Solver scaling"). CI runs them with
+// -benchtime=1x as a smoke test.
 
 func BenchmarkSolverLarge(b *testing.B) {
 	prog := benchLargeProg(b, "solver-large")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pointer.Analyze(prog)
-	}
-}
-
-func BenchmarkSolverLargeLegacy(b *testing.B) {
-	prog := benchLargeProg(b, "solver-large")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pointer.AnalyzeLegacy(prog)
 	}
 }
 
@@ -129,26 +119,10 @@ func BenchmarkSolverMedium(b *testing.B) {
 	}
 }
 
-func BenchmarkSolverMediumLegacy(b *testing.B) {
-	prog := benchLargeProg(b, "solver-medium")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pointer.AnalyzeLegacy(prog)
-	}
-}
-
 func BenchmarkSolverSmall(b *testing.B) {
 	prog := benchLargeProg(b, "solver-small")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pointer.Analyze(prog)
-	}
-}
-
-func BenchmarkSolverSmallLegacy(b *testing.B) {
-	prog := benchLargeProg(b, "solver-small")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pointer.AnalyzeLegacy(prog)
 	}
 }

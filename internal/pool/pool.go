@@ -1,13 +1,13 @@
+// Package pool provides the bounded, deterministic worker pool shared
+// by usher-bench and usher-difftest, the daemon's default worker count,
+// the pipeline's resolution prewarm, the Opt IV condensation and the
+// module build's batch compiles.
 package pool
 
 import (
 	"runtime"
 	"sync"
 )
-
-// Package pool provides the bounded, deterministic worker pool shared
-// by the drivers (via bench.ForEach) and the module build's batch
-// compiles.
 
 // DefaultParallelism is the worker count used by the non-parallel entry
 // points: one worker per CPU.
@@ -17,8 +17,7 @@ func DefaultParallelism() int { return runtime.NumCPU() }
 // first (lowest-index) error. With parallel <= 1 it degenerates to a
 // plain sequential loop, reproducing the pre-parallel driver exactly.
 // Results must be written by f into pre-sized slices indexed by i, which
-// keeps output ordering deterministic regardless of scheduling. It is
-// the shared worker pool behind usher-bench and usher-difftest.
+// keeps output ordering deterministic regardless of scheduling.
 func ForEach(parallel, n int, f func(i int) error) error {
 	if n == 0 {
 		return nil

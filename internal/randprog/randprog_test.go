@@ -3,7 +3,7 @@ package randprog_test
 import (
 	"testing"
 
-	"github.com/valueflow/usher/internal/compile"
+	"github.com/valueflow/usher"
 	"github.com/valueflow/usher/internal/interp"
 	"github.com/valueflow/usher/internal/randprog"
 )
@@ -25,7 +25,7 @@ func TestSeedsCompileAndTerminate(t *testing.T) {
 	}
 	for seed := int64(0); seed < n; seed++ {
 		src := randprog.Generate(seed, randprog.DefaultOptions)
-		prog, err := compile.Source("rand.c", src)
+		prog, err := usher.Compile("rand.c", src)
 		if err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, src)
 		}
@@ -42,7 +42,7 @@ func TestGeneratesUndefinedUses(t *testing.T) {
 	buggy := 0
 	for seed := int64(0); seed < 100; seed++ {
 		src := randprog.Generate(seed, randprog.DefaultOptions)
-		prog, err := compile.Source("rand.c", src)
+		prog, err := usher.Compile("rand.c", src)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -80,7 +80,7 @@ func TestCleanLabelTrustworthy(t *testing.T) {
 			continue
 		}
 		clean++
-		prog, err := compile.Source("rand.c", src)
+		prog, err := usher.Compile("rand.c", src)
 		if err != nil {
 			t.Fatalf("seed %d: clean program does not compile: %v\n%s", seed, err, src)
 		}
@@ -109,7 +109,7 @@ func TestUninitUsesReachable(t *testing.T) {
 			continue
 		}
 		nonClean++
-		prog, err := compile.Source("rand.c", src)
+		prog, err := usher.Compile("rand.c", src)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -3,7 +3,6 @@ package service
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -215,43 +214,5 @@ func TestSingleFlightNoRebuild(t *testing.T) {
 		if ps.Runs != rounds {
 			t.Errorf("pass %s/%s ran %d times, want %d", ps.Pass, ps.Variant, ps.Runs, rounds)
 		}
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	cases := []struct {
-		sorted []float64
-		p      float64
-		want   float64
-	}{
-		{[]float64{5}, 0, 5},
-		{[]float64{5}, 0.99, 5},
-		{[]float64{5}, 1, 5},
-		// Median of two is the lower sample under nearest-rank (the old
-		// round-half-up formula read the higher one).
-		{[]float64{1, 2}, 0.5, 1},
-		{[]float64{1, 2}, 0.51, 2},
-		{[]float64{1, 2, 3, 4}, 0.5, 2},
-		// p99 of a small sample clamps to the worst observed value
-		// instead of indexing past the data.
-		{[]float64{1, 2, 3, 4, 5}, 0.99, 5},
-		{[]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 0.90, 9},
-		{[]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 0.99, 10},
-		// Out-of-range p clamps instead of panicking.
-		{[]float64{1, 2, 3}, -0.5, 1},
-		{[]float64{1, 2, 3}, 1.5, 3},
-	}
-	for _, tc := range cases {
-		if got := Quantile(tc.sorted, tc.p); got != tc.want {
-			t.Errorf("Quantile(%v, %v) = %v, want %v", tc.sorted, tc.p, got, tc.want)
-		}
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("Quantile of an empty sample is not NaN")
-	}
-	// summarize feeds the helper: P99 of a tiny sample is its max.
-	ls := summarize([]float64{3, 1, 2})
-	if ls.P99 != 3 || ls.P50 != 2 || ls.Max != 3 {
-		t.Errorf("summarize percentiles = %+v", ls)
 	}
 }

@@ -37,7 +37,7 @@
 // whole request races a deadline (Timeout; the analysis itself is not
 // preempted — a timed-out request's work completes and is cached for
 // the next caller), and at most Workers requests analyze concurrently
-// (the same bound discipline as bench.ForEach's pool; excess requests
+// (the same bound discipline as pool.ForEach; excess requests
 // queue until the deadline).
 //
 // Failure discipline: compile errors are the client's fault (422) and
@@ -63,13 +63,13 @@ import (
 	"time"
 
 	"github.com/valueflow/usher"
-	"github.com/valueflow/usher/internal/bench"
 	"github.com/valueflow/usher/internal/cache"
 	"github.com/valueflow/usher/internal/interp"
 	"github.com/valueflow/usher/internal/ir"
 	"github.com/valueflow/usher/internal/module"
 	"github.com/valueflow/usher/internal/passes"
 	"github.com/valueflow/usher/internal/pipeline"
+	"github.com/valueflow/usher/internal/pool"
 	"github.com/valueflow/usher/internal/stats"
 )
 
@@ -93,7 +93,7 @@ type Options struct {
 	// analysis and the dynamic run (default 30s).
 	Timeout time.Duration
 	// Workers bounds concurrently analyzing requests (default: NumCPU,
-	// matching bench.DefaultParallelism).
+	// matching pool.DefaultParallelism).
 	Workers int
 	// MaxSteps bounds each dynamic run (default 50M instructions).
 	MaxSteps int64
@@ -119,7 +119,7 @@ func (o Options) withDefaults() Options {
 		o.Timeout = 30 * time.Second
 	}
 	if o.Workers <= 0 {
-		o.Workers = bench.DefaultParallelism()
+		o.Workers = pool.DefaultParallelism()
 	}
 	if o.MaxSteps <= 0 {
 		o.MaxSteps = 50_000_000

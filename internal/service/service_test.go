@@ -340,45 +340,6 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
-// TestRunLoadInProcess drives the real load generator against an
-// in-process server: every request answered, hits dominate repeats.
-func TestRunLoadInProcess(t *testing.T) {
-	if testing.Short() {
-		t.Skip("load generation is not short")
-	}
-	// The 17-program corpus sums to a few hundred MiB of accounted
-	// artifacts; a 2GiB budget keeps them all resident so round two of
-	// the round-robin is all hits. (Round-robin over a set LARGER than
-	// the budget is LRU's pathological case — each entry is evicted just
-	// before its next use — which TestCacheEvictionBounds exercises.)
-	_, ts := newTestServer(t, Options{CacheBytes: 2 << 30})
-	rep, err := RunLoad(ts.Client(), ts.URL, LoadOptions{
-		Requests:    34, // 17 distinct programs, two rounds
-		Concurrency: 4,
-		RandSeeds:   2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("%d request errors", rep.Errors)
-	}
-	if rep.DistinctPrograms != 17 {
-		t.Fatalf("corpus size %d, want 17", rep.DistinctPrograms)
-	}
-	// Round two of the round-robin must be all hits.
-	if rep.CacheHits < rep.Requests-rep.DistinctPrograms {
-		t.Errorf("cache hits %d below the repeat count %d",
-			rep.CacheHits, rep.Requests-rep.DistinctPrograms)
-	}
-	if rep.Latency.P50 <= 0 || rep.Latency.P99 < rep.Latency.P50 {
-		t.Errorf("implausible latency summary: %+v", rep.Latency)
-	}
-	if rep.Server == nil || rep.Server.Requests < int64(rep.Requests) {
-		t.Errorf("server stats not attached or inconsistent: %+v", rep.Server)
-	}
-}
-
 func TestParseConfigAndLevel(t *testing.T) {
 	for _, name := range []string{"usher", "Usher", "MSan", "msan", "UsherTL+AT", "tlat", "optiii", "Usher+OptIII"} {
 		if _, err := ParseConfig(name); err != nil {

@@ -14,7 +14,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/valueflow/usher/internal/compile"
 	"github.com/valueflow/usher/internal/ir"
 	"github.com/valueflow/usher/internal/pipeline"
 )
@@ -35,7 +34,7 @@ int main() {
 
 func corruptProg(t *testing.T) *ir.Program {
 	t.Helper()
-	prog, err := compile.Source("corrupt.c", corruptSrc)
+	prog, err := pipeline.Compile("corrupt.c", corruptSrc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"github.com/valueflow/usher/internal/compile"
 	"github.com/valueflow/usher/internal/pipeline"
 	"github.com/valueflow/usher/internal/pointer"
 )
@@ -15,7 +14,7 @@ import (
 // an accepted snapshot must survive pointer.Import (the component that
 // sizes dense tables from decoded indices).
 func FuzzSnapshotRead(f *testing.F) {
-	prog, err := compile.Source("fuzz.c", corruptSrc)
+	prog, err := pipeline.Compile("fuzz.c", corruptSrc, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -47,7 +46,7 @@ func FuzzSnapshotRead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Each iteration needs a fresh program: decode resolves against
 		// live IR, and pointer.Import mutates it (object collapsing).
-		prog, err := compile.Source("fuzz.c", corruptSrc)
+		prog, err := pipeline.Compile("fuzz.c", corruptSrc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

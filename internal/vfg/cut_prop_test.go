@@ -3,7 +3,7 @@ package vfg_test
 import (
 	"testing"
 
-	"github.com/valueflow/usher/internal/compile"
+	"github.com/valueflow/usher"
 	"github.com/valueflow/usher/internal/memssa"
 	"github.com/valueflow/usher/internal/pointer"
 	"github.com/valueflow/usher/internal/randprog"
@@ -95,7 +95,7 @@ func TestResolveCutEquivalenceRandom(t *testing.T) {
 	}
 	for seed := int64(0); seed < seeds; seed++ {
 		src := randprog.Generate(seed, randprog.DefaultOptions)
-		irp := compile.MustSource("rand.c", src)
+		irp := usher.MustCompile("rand.c", src)
 		pa := pointer.Analyze(irp)
 		mem := memssa.Build(irp, pa)
 		g := vfg.Build(irp, pa, mem, vfg.Options{})

@@ -3,7 +3,7 @@ package vfg_test
 import (
 	"testing"
 
-	"github.com/valueflow/usher/internal/compile"
+	"github.com/valueflow/usher"
 	"github.com/valueflow/usher/internal/memssa"
 	"github.com/valueflow/usher/internal/pointer"
 	"github.com/valueflow/usher/internal/randprog"
@@ -13,7 +13,7 @@ import (
 
 func buildGraph(t *testing.T, src string) *vfg.Graph {
 	t.Helper()
-	irp := compile.MustSource("t.c", src)
+	irp := usher.MustCompile("t.c", src)
 	pa := pointer.Analyze(irp)
 	mem := memssa.Build(irp, pa)
 	return vfg.Build(irp, pa, mem, vfg.Options{})
@@ -58,7 +58,7 @@ func TestContextInsensitiveAblation(t *testing.T) {
 func TestMergeEquivalentGammaIdentical(t *testing.T) {
 	for _, name := range []string{"gzip", "mcf", "parser"} {
 		p, _ := workload.ByName(name)
-		irp := compile.MustSource(name+".c", workload.Generate(p))
+		irp := usher.MustCompile(name+".c", workload.Generate(p))
 		pa := pointer.Analyze(irp)
 		mem := memssa.Build(irp, pa)
 		g := vfg.Build(irp, pa, mem, vfg.Options{})
@@ -83,7 +83,7 @@ func TestMergeEquivalentGammaIdentical(t *testing.T) {
 func TestMergeEquivalentOnRandomPrograms(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		src := randprog.Generate(seed, randprog.DefaultOptions)
-		irp := compile.MustSource("rand.c", src)
+		irp := usher.MustCompile("rand.c", src)
 		pa := pointer.Analyze(irp)
 		mem := memssa.Build(irp, pa)
 		g := vfg.Build(irp, pa, mem, vfg.Options{})
@@ -104,7 +104,7 @@ func TestMergeEquivalentOnRandomPrograms(t *testing.T) {
 func TestContextInsensitiveSoundOnRandomPrograms(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		src := randprog.Generate(seed, randprog.DefaultOptions)
-		irp := compile.MustSource("rand.c", src)
+		irp := usher.MustCompile("rand.c", src)
 		pa := pointer.Analyze(irp)
 		mem := memssa.Build(irp, pa)
 		g := vfg.Build(irp, pa, mem, vfg.Options{})

@@ -3,7 +3,7 @@ package vfg_test
 import (
 	"testing"
 
-	"github.com/valueflow/usher/internal/compile"
+	"github.com/valueflow/usher"
 	"github.com/valueflow/usher/internal/ir"
 	"github.com/valueflow/usher/internal/memssa"
 	"github.com/valueflow/usher/internal/pointer"
@@ -12,7 +12,7 @@ import (
 
 func build(t *testing.T, src string, opts vfg.Options) (*ir.Program, *vfg.Graph, *vfg.Gamma) {
 	t.Helper()
-	irp := compile.MustSource("t.c", src)
+	irp := usher.MustCompile("t.c", src)
 	pa := pointer.Analyze(irp)
 	mem := memssa.Build(irp, pa)
 	g := vfg.Build(irp, pa, mem, opts)

@@ -3,7 +3,7 @@ package vfgopt_test
 import (
 	"testing"
 
-	"github.com/valueflow/usher/internal/compile"
+	"github.com/valueflow/usher"
 	"github.com/valueflow/usher/internal/ir"
 	"github.com/valueflow/usher/internal/memssa"
 	"github.com/valueflow/usher/internal/pointer"
@@ -13,7 +13,7 @@ import (
 
 func build(t *testing.T, src string) (*ir.Program, *vfg.Graph, *vfg.Gamma) {
 	t.Helper()
-	irp := compile.MustSource("t.c", src)
+	irp := usher.MustCompile("t.c", src)
 	pa := pointer.Analyze(irp)
 	mem := memssa.Build(irp, pa)
 	g := vfg.Build(irp, pa, mem, vfg.Options{})

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/valueflow/usher/internal/compile"
+	"github.com/valueflow/usher"
 	"github.com/valueflow/usher/internal/memssa"
 	"github.com/valueflow/usher/internal/pointer"
 	"github.com/valueflow/usher/internal/randprog"
@@ -15,7 +15,7 @@ import (
 
 func buildGraph(t *testing.T, name, src string) *vfg.Graph {
 	t.Helper()
-	irp := compile.MustSource(name, src)
+	irp := usher.MustCompile(name, src)
 	pa := pointer.Analyze(irp)
 	mem := memssa.Build(irp, pa)
 	return vfg.Build(irp, pa, mem, vfg.Options{})
@@ -23,7 +23,7 @@ func buildGraph(t *testing.T, name, src string) *vfg.Graph {
 
 func buildGraphTL(t *testing.T, name, src string) *vfg.Graph {
 	t.Helper()
-	irp := compile.MustSource(name, src)
+	irp := usher.MustCompile(name, src)
 	pa := pointer.Analyze(irp)
 	mem := memssa.Build(irp, pa)
 	return vfg.Build(irp, pa, mem, vfg.Options{TopLevelOnly: true})
@@ -77,7 +77,7 @@ func TestSummaryGammaIdenticalOnRandomPrograms(t *testing.T) {
 	}
 	for seed := 0; seed < seeds; seed++ {
 		src := randprog.Generate(int64(seed), randprog.DefaultOptions)
-		irp, err := compile.Source("rand.c", src)
+		irp, err := usher.Compile("rand.c", src)
 		if err != nil {
 			continue
 		}
@@ -104,7 +104,7 @@ func TestSummaryResolveCutIdentical(t *testing.T) {
 	}
 	for seed := 0; seed < 40; seed++ {
 		src := randprog.Generate(int64(seed), randprog.DefaultOptions)
-		irp, err := compile.Source("rand.c", src)
+		irp, err := usher.Compile("rand.c", src)
 		if err != nil {
 			continue
 		}

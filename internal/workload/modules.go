@@ -25,7 +25,7 @@ type ModuleFile struct {
 // modules, every aggregator includes a disjoint slice of libs, and main
 // includes every aggregator — so editing one lib invalidates exactly
 // that lib, its aggregator and main (3 of the default 50 modules),
-// which is what BENCH_incremental.json and the invalidation tests pin.
+// which is what the invalidation tests pin.
 //
 // Each lib carries a `tweak_N` function whose constant is the designated
 // 1-line edit site (see Edit), and every BugEvery-th lib plants a real
@@ -47,6 +47,12 @@ type ModuleProject struct {
 // 40 libs + 7 aggregators + main.
 var DefaultModuleProject = ModuleProject{
 	Name: "modproj", Libs: 40, LibsPerAgg: 6, BugEvery: 13,
+}
+
+// WideModuleProject is the 135-module shape: core + util + 120 libs +
+// 12 aggregators + main.
+var WideModuleProject = ModuleProject{
+	Name: "modproj-wide", Libs: 120, LibsPerAgg: 10, BugEvery: 13,
 }
 
 // NumModules returns the total module count of the generated project.
@@ -212,8 +218,8 @@ func (p ModuleProject) mainSource() string {
 }
 
 // Edit returns a copy of files with the named lib module's tweak
-// constant bumped to value — the canonical 1-line edit driving the
-// incremental benchmark and the invalidation tests. Non-lib modules
+// constant bumped to value — the canonical 1-line edit driving
+// perfbench's daemon-mix edits and the invalidation tests. Non-lib modules
 // (no tweak line) are returned unchanged with ok=false.
 func Edit(files []ModuleFile, name string, value int) ([]ModuleFile, bool) {
 	out := append([]ModuleFile(nil), files...)

@@ -13,18 +13,17 @@ import (
 // constraint counts, parsing and lowering would dominate the very solve
 // being measured, and the solver consumes IR, not source.
 //
-// The three structures are chosen to stress the three phases of the
-// wave-parallel solver (internal/pointer/parallel.go):
+// The three structures stress the solver's three main costs:
 //
 //   - A function-pointer table with large fan-out: FPSites dispatchers
 //     call through a table holding FPTargets targets, so on-the-fly
 //     resolution wires FPSites×FPTargets (call, callee) pairs — each
 //     with an argument and a return copy edge. This quadratic term is
 //     what pushes the constraint count past a million, and the resulting
-//     wide waves of word-level unions are the parallel phase's payload.
+//     wide worklist rounds are dominated by word-level unions.
 //   - Deep forwarding call chains: every new fact at a chain head
-//     crosses ChainDepth parameter and return edges, maximizing wave
-//     count (difference propagation and barrier overhead's worst case).
+//     crosses ChainDepth parameter and return edges, maximizing the
+//     round count (difference propagation's worst case).
 //   - Heap-allocation rings: each ring function allocates a two-cell
 //     heap node, stores its pointer parameter into the node, reloads it
 //     and forwards to the next function in the ring. The parameter /

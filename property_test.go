@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"github.com/valueflow/usher"
-	"github.com/valueflow/usher/internal/compile"
 	"github.com/valueflow/usher/internal/interp"
 	"github.com/valueflow/usher/internal/passes"
 	"github.com/valueflow/usher/internal/randprog"
@@ -96,14 +95,14 @@ func TestPropertySSAInvariants(t *testing.T) {
 	property := func(seed int64) bool {
 		seed &= 0xffff
 		src := randprog.Generate(seed, randprog.DefaultOptions)
-		base := compile.MustSource("rand.c", src)
+		base := usher.MustCompile("rand.c", src)
 		baseRes, err := interp.Run(base, "main", nil, interp.Options{})
 		if err != nil {
 			t.Logf("seed %d: native: %v", seed, err)
 			return false
 		}
 		for _, level := range []passes.Level{passes.O0IM, passes.O1, passes.O2} {
-			prog := compile.MustSource("rand.c", src)
+			prog := usher.MustCompile("rand.c", src)
 			if err := passes.Apply(prog, level); err != nil {
 				t.Logf("seed %d: %v: %v", seed, level, err)
 				return false
@@ -149,7 +148,7 @@ func TestPropertyMonotoneStaticCounts(t *testing.T) {
 	property := func(seed int64) bool {
 		seed &= 0xffff
 		src := randprog.Generate(seed, randprog.DefaultOptions)
-		prog := compile.MustSource("rand.c", src)
+		prog := usher.MustCompile("rand.c", src)
 		prevProps, prevChecks := -1, -1
 		for _, cfg := range usher.Configs {
 			st := usher.MustAnalyze(prog, cfg).StaticStats()

@@ -21,7 +21,7 @@ package usher
 import (
 	"fmt"
 
-	"github.com/valueflow/usher/internal/compile"
+	"github.com/valueflow/usher/internal/diag"
 	"github.com/valueflow/usher/internal/instrument"
 	"github.com/valueflow/usher/internal/interp"
 	"github.com/valueflow/usher/internal/ir"
@@ -131,14 +131,17 @@ func (c Config) ElidesChecks() bool {
 
 // Compile parses, type-checks and lowers MiniC source into SSA-form IR
 // (the O0+IM pipeline without inlining; see package passes for the
-// inlining step and the O1/O2 pipelines).
+// inlining step and the O1/O2 pipelines). Malformed input is reported as
+// positioned diagnostics (see package diag), never as a panic.
 func Compile(file, src string) (*ir.Program, error) {
-	return compile.Source(file, src)
+	return pipeline.Compile(file, src, nil)
 }
 
 // MustCompile is Compile for known-good sources; it panics on error.
 func MustCompile(file, src string) *ir.Program {
-	return compile.MustSource(file, src)
+	irp, err := Compile(file, src)
+	diag.MustNil("compile "+file, err)
+	return irp
 }
 
 // Analysis bundles everything the analysis produced for one program under
