@@ -4,16 +4,11 @@
 // Usage:
 //
 //	usher-bench [-table1] [-fig10] [-fig11] [-opt-levels] [-ablations] [-all]
-//	            [-resolve-scale] [-parallel N] [-gamma-summaries]
-//	            [-json path] [-stats] [-cpuprofile path] [-memprofile path]
+//	            [-parallel N] [-json path] [-stats]
+//	            [-cpuprofile path] [-memprofile path]
 //
-// -resolve-scale runs the Γ-resolution scaling harness — the Opt IV
-// summary-based resolver against the dense baseline over the
-// resolve-stress XL profiles and the module projects (see
-// BENCH_resolve.json) — and is not part of -all. -gamma-summaries routes
-// every Γ resolution in the selected phases through the summary
-// resolver; results are bit-identical, only timings move. Throughput and
-// latency of the whole system are measured by perfbench, not here.
+// Throughput and latency of the whole system are measured by perfbench,
+// not here.
 //
 // With no selection flags, -all is assumed. Work is spread over -parallel
 // workers (default: one per CPU) at two levels — across workload profiles
@@ -45,8 +40,6 @@ func main() {
 	fig11 := flag.Bool("fig11", false, "static instrumentation counts (Figure 11)")
 	optLevels := flag.Bool("opt-levels", false, "slowdowns under O1 and O2 (Section 4.6)")
 	ablations := flag.Bool("ablations", false, "design-choice ablation study")
-	resolveScale := flag.Bool("resolve-scale", false,
-		"summary-based Γ resolution (Opt IV) vs the dense resolver over the resolve-stress profiles (not part of -all)")
 	all := flag.Bool("all", false, "everything")
 	cf := bench.RegisterCommonFlags(flag.CommandLine)
 	flag.Parse()
@@ -55,7 +48,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	cf.ApplySolver()
 	sc := cf.Collector()
 	stopProfiles, err := cf.Profile.Start()
 	if err != nil {
@@ -68,16 +60,15 @@ func main() {
 		}
 	}()
 
-	if !*table1 && !*fig10 && !*fig11 && !*optLevels && !*ablations && !*resolveScale {
+	if !*table1 && !*fig10 && !*fig11 && !*optLevels && !*ablations {
 		*all = true
 	}
 	report := &bench.Report{
-		SchemaVersion:  bench.SchemaVersion,
-		GeneratedAt:    time.Now().UTC().Format(time.RFC3339),
-		NumCPU:         runtime.NumCPU(),
-		GOMAXPROCS:     runtime.GOMAXPROCS(0),
-		Parallel:       cf.Parallel,
-		GammaSummaries: cf.GammaSummaries,
+		SchemaVersion: bench.SchemaVersion,
+		GeneratedAt:   time.Now().UTC().Format(time.RFC3339),
+		NumCPU:        runtime.NumCPU(),
+		GOMAXPROCS:    runtime.GOMAXPROCS(0),
+		Parallel:      cf.Parallel,
 	}
 	// fail writes the partial report before exiting, so a late-phase
 	// failure does not discard the completed phases: the JSON carries
@@ -156,19 +147,6 @@ func main() {
 			bench.WriteFig10(os.Stdout, level, rows)
 			fmt.Println()
 		}
-	}
-
-	if *resolveScale {
-		fmt.Println("=== Resolve scaling: summary-based Γ resolution (Opt IV) vs the dense resolver ===")
-		start := time.Now()
-		res, err := bench.ResolveScale(bench.ResolveScaleWorkerCounts)
-		if err != nil {
-			fail(err)
-		}
-		report.AddPhase("resolve-scale", start)
-		report.Resolve = res
-		bench.WriteResolveScale(os.Stdout, res)
-		fmt.Println()
 	}
 
 	if cf.Stats {

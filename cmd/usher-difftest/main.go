@@ -8,7 +8,7 @@
 //
 //	usher-difftest [-seeds N] [-from S] [-parallel P] [-json path] [-stats]
 //	               [-mutate] [-mutants-per-seed N]
-//	               [-repro-dir dir] [-minimize=false] [-gamma-summaries]
+//	               [-repro-dir dir] [-minimize=false]
 //	               [-cpuprofile path] [-memprofile path]
 //
 // Seeds are swept on -parallel workers; the findings and the -json
@@ -60,7 +60,6 @@ func main() {
 	if err := cf.Validate(); err != nil {
 		fail(err)
 	}
-	cf.ApplySolver()
 
 	stopProfiles, err := cf.Profile.Start()
 	if err != nil {

@@ -57,7 +57,6 @@ func main() {
 	workloadName := flag.String("workload", "", "use a generated benchmark instead of a file")
 	showStats := flag.Bool("stats", false, "print per-pipeline-pass stats (wall time, allocs, work counters)")
 	pf := bench.RegisterProfileFlags(flag.CommandLine)
-	sf := bench.RegisterSolverFlag(flag.CommandLine)
 	flag.Parse()
 
 	// Registered first so that it runs last, after the deferred stats
@@ -68,7 +67,6 @@ func main() {
 			os.Exit(1)
 		}
 	}()
-	sf.Apply()
 
 	stopProfiles, err := pf.Start()
 	if err != nil {

@@ -65,7 +65,6 @@ func main() {
 	if *moduleCacheMB < 0 {
 		fail(fmt.Errorf("-module-cache-mb must be non-negative, got %d", *moduleCacheMB))
 	}
-	cf.ApplySolver()
 
 	stopProfiles, err := cf.Profile.Start()
 	if err != nil {

@@ -35,13 +35,11 @@ func main() {
 	dot := flag.Bool("dot", false, "emit the VFG as Graphviz DOT")
 	showStats := flag.Bool("stats", false, "print per-pipeline-pass stats (wall time, allocs, work counters)")
 	pf := bench.RegisterProfileFlags(flag.CommandLine)
-	sf := bench.RegisterSolverFlag(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: vfg-dump [flags] file.c")
 		os.Exit(1)
 	}
-	sf.Apply()
 	stopProfiles, err := pf.Start()
 	if err != nil {
 		fatal(err)

@@ -10,12 +10,11 @@ import (
 
 	"github.com/valueflow/usher/internal/pool"
 	"github.com/valueflow/usher/internal/stats"
-	"github.com/valueflow/usher/internal/vfgsum"
 )
 
 // CommonFlags is the CLI plumbing shared by usher-bench and
 // usher-difftest: the worker bound, the JSON report path, per-pass
-// observability, the Γ resolver selection and profiling. Centralizing it
+// observability and profiling. Centralizing it
 // here keeps the binaries' flag semantics (and the report schema they
 // write) from drifting apart.
 type CommonFlags struct {
@@ -25,19 +24,14 @@ type CommonFlags struct {
 	JSONPath string
 	// Stats records whether -stats was requested.
 	Stats bool
-	// GammaSummaries routes Γ resolution through the Opt IV summary
-	// resolver (internal/vfgsum); results are bit-identical to the
-	// default dense resolver. Applied process-wide by ApplySolver.
-	GammaSummaries bool
 	// Profile holds the -cpuprofile/-memprofile destinations.
 	Profile *ProfileFlags
 
 	sc *stats.Collector
 }
 
-// RegisterCommonFlags registers -parallel, -json, -stats,
-// -gamma-summaries, -cpuprofile and -memprofile on fs with the shared
-// defaults and help text.
+// RegisterCommonFlags registers -parallel, -json, -stats, -cpuprofile
+// and -memprofile on fs with the shared defaults and help text.
 func RegisterCommonFlags(fs *flag.FlagSet) *CommonFlags {
 	cf := &CommonFlags{Profile: RegisterProfileFlags(fs)}
 	fs.IntVar(&cf.Parallel, "parallel", pool.DefaultParallelism(),
@@ -45,13 +39,8 @@ func RegisterCommonFlags(fs *flag.FlagSet) *CommonFlags {
 	fs.StringVar(&cf.JSONPath, "json", "", "write a machine-readable report to this path")
 	fs.BoolVar(&cf.Stats, "stats", false,
 		"collect and print per-pass pipeline stats (wall time, allocs, work counters)")
-	fs.BoolVar(&cf.GammaSummaries, "gamma-summaries", false, gammaSummariesUsage)
 	return cf
 }
-
-// gammaSummariesUsage is the -gamma-summaries help text, shared by both
-// registrations.
-const gammaSummariesUsage = "resolve Γ through per-function definedness summaries (Opt IV; results are identical)"
 
 // Validate rejects flag values the pools would silently misinterpret:
 // pool.ForEach treats parallel <= 1 as "sequential", so a mistyped
@@ -63,32 +52,6 @@ func (cf *CommonFlags) Validate() error {
 		return fmt.Errorf("-parallel must be at least 1 worker, got %d", cf.Parallel)
 	}
 	return nil
-}
-
-// ApplySolver installs the requested Γ resolution strategy
-// process-wide. Call it once, after Validate and before any analysis.
-func (cf *CommonFlags) ApplySolver() {
-	vfgsum.Enabled = cf.GammaSummaries
-}
-
-// SolverFlag is the -gamma-summaries registration for binaries that do
-// not take the full CommonFlags set (usherc, vfg-dump): the same flag
-// name, default and help text as RegisterCommonFlags, without the
-// pool/report plumbing.
-type SolverFlag struct {
-	GammaSummaries bool
-}
-
-// RegisterSolverFlag registers -gamma-summaries on fs.
-func RegisterSolverFlag(fs *flag.FlagSet) *SolverFlag {
-	sf := &SolverFlag{}
-	fs.BoolVar(&sf.GammaSummaries, "gamma-summaries", false, gammaSummariesUsage)
-	return sf
-}
-
-// Apply installs the selection process-wide (see CommonFlags.ApplySolver).
-func (sf *SolverFlag) Apply() {
-	vfgsum.Enabled = sf.GammaSummaries
 }
 
 // ProfileFlags is the -cpuprofile/-memprofile pair every driver binary

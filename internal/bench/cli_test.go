@@ -18,7 +18,6 @@ func TestCommonFlagsValidate(t *testing.T) {
 	}{
 		{nil, ""},
 		{[]string{"-parallel", "1"}, ""},
-		{[]string{"-parallel", "8", "-gamma-summaries"}, ""},
 		{[]string{"-parallel", "0"}, "-parallel"},
 		{[]string{"-parallel", "-3"}, "-parallel"},
 	}
@@ -41,32 +40,5 @@ func TestCommonFlagsValidate(t *testing.T) {
 		} else if !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%v: error %q does not name the flag %s", tc.args, err, tc.wantErr)
 		}
-	}
-}
-
-// TestSolverFlagMatchesCommon keeps the standalone -gamma-summaries
-// registration (usherc, vfg-dump) in lockstep with the CommonFlags one:
-// same default, same help text, same effect once parsed.
-func TestSolverFlagMatchesCommon(t *testing.T) {
-	cfs := flag.NewFlagSet("common", flag.ContinueOnError)
-	cf := RegisterCommonFlags(cfs)
-	sfs := flag.NewFlagSet("solver", flag.ContinueOnError)
-	sf := RegisterSolverFlag(sfs)
-	cfl, sfl := cfs.Lookup("gamma-summaries"), sfs.Lookup("gamma-summaries")
-	if cfl == nil || sfl == nil {
-		t.Fatalf("-gamma-summaries missing: common %v, solver %v", cfl, sfl)
-	}
-	if cfl.DefValue != sfl.DefValue || cfl.Usage != sfl.Usage {
-		t.Errorf("registrations differ: common (%q, %q), solver (%q, %q)",
-			cfl.DefValue, cfl.Usage, sfl.DefValue, sfl.Usage)
-	}
-	if err := cfs.Parse([]string{"-gamma-summaries"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sfs.Parse([]string{"-gamma-summaries"}); err != nil {
-		t.Fatal(err)
-	}
-	if !cf.GammaSummaries || !sf.GammaSummaries {
-		t.Errorf("parsed -gamma-summaries: common %v, solver %v, want both true", cf.GammaSummaries, sf.GammaSummaries)
 	}
 }

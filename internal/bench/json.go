@@ -27,9 +27,10 @@ type LevelRows struct {
 // runs, wall_sec, alloc_bytes, counters — see internal/stats); the driver
 // phase timings moved to "driver_phases".
 //
-// v3: added the "resolve" section (-resolve-scale: summary-based Γ
-// resolution vs the dense baseline) and the top-level "gamma_summaries"
-// field recording whether the run resolved through Opt IV summaries.
+// v3: added the "resolve" section (the resolution-scaling harness:
+// summary-based Γ resolution vs the dense baseline) and the top-level
+// "gamma_summaries" field recording whether the run resolved through
+// Opt IV summaries.
 //
 // v4: usher-difftest gained the sanitizer-vs-sanitizer mutation
 // campaign: the report's "mutants" counts replayed mutants and each
@@ -41,7 +42,11 @@ type LevelRows struct {
 // implementation name), "solver_workers" (parallel-solver worker count),
 // "solver_scale" (the solver-scaling section) and "incremental" (the
 // multi-file build section).
-const SchemaVersion = 5
+//
+// v6: Γ has one resolver. Removed fields: "gamma_summaries" (whether Γ
+// resolution ran through the summary resolver) and "resolve" (the
+// resolution-scaling section).
+const SchemaVersion = 6
 
 // Report is the machine-readable form of one usher-bench invocation,
 // written by the -json flag. It captures everything the text renderers
@@ -55,10 +60,6 @@ type Report struct {
 	NumCPU        int    `json:"num_cpu"`
 	GOMAXPROCS    int    `json:"gomaxprocs"`
 	Parallel      int    `json:"parallel"`
-	// GammaSummaries is the -gamma-summaries value: whether Γ resolution
-	// ran through the Opt IV summary resolver. Results are bit-identical
-	// either way; only timings move.
-	GammaSummaries bool `json:"gamma_summaries"`
 
 	// DriverPhases times the driver's coarse phases (table1, fig10, ...).
 	DriverPhases []PhaseTime `json:"driver_phases"`
@@ -75,10 +76,6 @@ type Report struct {
 	Fig10     []LevelRows   `json:"fig10,omitempty"`
 	Fig11     []StaticRow   `json:"fig11,omitempty"`
 	Ablations []AblationRow `json:"ablations,omitempty"`
-	// Resolve is the -resolve-scale section: summary-based Γ resolution
-	// against the dense baseline over the resolve-stress XL profiles and
-	// module projects.
-	Resolve *ResolveScaleResult `json:"resolve,omitempty"`
 }
 
 // AddPhase appends a driver-phase timing.

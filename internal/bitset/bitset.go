@@ -27,25 +27,6 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, 0, (n+63)/64)}
 }
 
-// Words returns a copy of the set's backing words, least-significant id
-// first. It is the serialization surface (the snapshot format's VSUM
-// section stores resolved Γ bit vectors verbatim); pair with FromWords.
-func (s *Set) Words() []uint64 {
-	if s == nil || len(s.words) == 0 {
-		return nil
-	}
-	w := make([]uint64, len(s.words))
-	copy(w, s.words)
-	return w
-}
-
-// FromWords reconstructs a set from a Words dump. The slice is copied.
-func FromWords(words []uint64) *Set {
-	w := make([]uint64, len(words))
-	copy(w, words)
-	return &Set{words: w}
-}
-
 // Seal freezes the set: any later mutation panics. Sealing is one-way
 // and exists to enforce the solved-state read-only contract — the pointer
 // solver seals every points-to set at freeze() time, so a Result shared

@@ -10,7 +10,6 @@ import (
 
 	"github.com/valueflow/usher"
 	"github.com/valueflow/usher/internal/pipeline"
-	"github.com/valueflow/usher/internal/vfgsum"
 )
 
 // mutationFixture exercises every mutation kind at least once: a
@@ -213,38 +212,6 @@ func TestMutationCampaignSmoke(t *testing.T) {
 	}
 	for _, f := range report.Findings {
 		t.Errorf("seed %d mutation %s diverged: %v\n%s", f.Seed, f.Mutation, f.Divergence, f.Minimized)
-	}
-}
-
-// TestCampaignsUnderGammaSummaries smokes both campaign styles with the
-// summary-based Γ resolver (Opt IV, the -gamma-summaries flag): the
-// soundness contract must hold under either resolution strategy.
-func TestCampaignsUnderGammaSummaries(t *testing.T) {
-	defer func(old bool) { vfgsum.Enabled = old }(vfgsum.Enabled)
-	vfgsum.Enabled = true
-	seeds := int64(20)
-	if testing.Short() {
-		seeds = 5
-	}
-	plain, err := Campaign(CampaignOptions{Seeds: seeds, Parallel: 8, Minimize: true})
-	if err != nil {
-		t.Fatalf("Campaign: %v", err)
-	}
-	for _, f := range plain.Findings {
-		t.Errorf("summary resolver: seed %d diverged: %v", f.Seed, f.Divergence)
-	}
-	mutated, err := MutationCampaign(MutationCampaignOptions{
-		CampaignOptions: CampaignOptions{Seeds: seeds, Parallel: 8, Minimize: true},
-		MutantsPerSeed:  3,
-	})
-	if err != nil {
-		t.Fatalf("MutationCampaign: %v", err)
-	}
-	if mutated.Mutants == 0 {
-		t.Error("no mutants replayed under the summary resolver")
-	}
-	for _, f := range mutated.Findings {
-		t.Errorf("summary resolver: seed %d mutation %s diverged: %v", f.Seed, f.Mutation, f.Divergence)
 	}
 }
 

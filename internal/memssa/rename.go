@@ -164,8 +164,8 @@ func (info *Info) buildFunc(fn *ir.Function) {
 		}
 		// The worklist is seeded from map iteration; sort it so phi
 		// creation order — and with it version numbering and every
-		// downstream artifact keyed by def order (VFG node ids, snapshot
-		// Γ bit vectors) — is identical on every run.
+		// downstream artifact keyed by def order (VFG node ids, the golden
+		// ⊥ sets) — is identical on every run.
 		sort.Slice(work, func(x, y int) bool { return work[x].ID < work[y].ID })
 		placed := make(map[*ir.Block]bool)
 		for len(work) > 0 {

@@ -37,7 +37,6 @@ const (
 	PhasePointer    Phase = "pointer"
 	PhaseMemSSA     Phase = "memssa"
 	PhaseVFG        Phase = "vfg"
-	PhaseSummary    Phase = "summary"
 	PhaseResolve    Phase = "resolve"
 	PhaseOpt        Phase = "opt"
 	PhaseInstrument Phase = "instrument"
@@ -87,8 +86,8 @@ var Registry = []*Pass{
 	{Name: "scalar", Phase: PhaseScalarOpt, Needs: []string{"verify"}, Variants: "level",
 		Produces: "*ir.Program (optimized)"},
 	{Name: "snapshot", Phase: PhaseSnapshot, Needs: []string{"scalar"},
-		Produces: "preloaded artifacts (pointer result, resolved Γs, instrumentation plans)",
-		Counters: []string{"call_edges", "gammas_loaded", "plans_loaded", "pts_regs"}},
+		Produces: "preloaded artifacts (pointer result, instrumentation plans)",
+		Counters: []string{"call_edges", "plans_loaded", "pts_regs"}},
 	{Name: "pointer", Phase: PhasePointer, Needs: []string{"scalar"},
 		Produces: "*pointer.Result (frozen)",
 		Counters: []string{"constraint_nodes", "constraints", "copy_edges", "locations", "sccs_collapsed", "solver_visits", "solver_waves"}},
@@ -98,10 +97,7 @@ var Registry = []*Pass{
 	{Name: "vfg", Phase: PhaseVFG, Needs: []string{"pointer", "memssa"}, Variants: "graph",
 		Produces: "*vfg.Graph (sealed)",
 		Counters: []string{"edges", "nodes", "semistrong_cuts"}},
-	{Name: "summaries", Phase: PhaseSummary, Needs: []string{"vfg"}, Variants: "graph",
-		Produces: "*vfgsum.Summary (condensed graph + definedness summaries)",
-		Counters: []string{"boundary_edges", "chains_collapsed", "ports", "pruned_edges", "sccs_collapsed", "supernodes"}},
-	{Name: "resolve", Phase: PhaseResolve, Needs: []string{"vfg", "summaries"}, Variants: "graph",
+	{Name: "resolve", Phase: PhaseResolve, Needs: []string{"vfg"}, Variants: "graph",
 		Produces: "*vfg.Gamma",
 		Counters: []string{"bottom", "nodes"}},
 	{Name: "optII", Phase: PhaseOpt, Needs: []string{"vfg", "resolve"},

@@ -7,17 +7,14 @@ import (
 	"sync"
 	"time"
 
-	"github.com/valueflow/usher/internal/bitset"
 	"github.com/valueflow/usher/internal/diag"
 	"github.com/valueflow/usher/internal/instrument"
 	"github.com/valueflow/usher/internal/ir"
 	"github.com/valueflow/usher/internal/memssa"
 	"github.com/valueflow/usher/internal/pointer"
-	"github.com/valueflow/usher/internal/pool"
 	"github.com/valueflow/usher/internal/stats"
 	"github.com/valueflow/usher/internal/vfg"
 	"github.com/valueflow/usher/internal/vfgopt"
-	"github.com/valueflow/usher/internal/vfgsum"
 )
 
 // Graph-variant key strings.
@@ -75,17 +72,6 @@ type Store struct {
 	// after once.Do returns, so readers never race the pass body.
 	done      map[Key]bool
 	preloaded map[Key]bool
-	// gammaSeeds holds snapshot-loaded resolved Γ bit vectors keyed by
-	// graph variant, consumed by Gamma once the graph exists (the VSUM
-	// warm-start path: a Γ cannot be preloaded as an artifact before the
-	// graph it indexes is built).
-	gammaSeeds map[string]gammaSeed
-}
-
-// gammaSeed is one pending VSUM warm-start payload.
-type gammaSeed struct {
-	nodes  int
-	bottom *bitset.Set
 }
 
 // NewStore prepares an artifact store for prog, recording pass
@@ -94,10 +80,9 @@ type gammaSeed struct {
 func NewStore(prog *ir.Program, sc *stats.Collector) *Store {
 	return &Store{
 		prog: prog, sc: sc,
-		entries:    make(map[Key]*entry),
-		done:       make(map[Key]bool),
-		preloaded:  make(map[Key]bool),
-		gammaSeeds: make(map[string]gammaSeed),
+		entries:   make(map[Key]*entry),
+		done:      make(map[Key]bool),
+		preloaded: make(map[Key]bool),
 	}
 }
 
@@ -416,94 +401,14 @@ func (st *Store) Graph(topLevelOnly bool) (*vfg.Graph, error) {
 	return v.(*vfg.Graph), nil
 }
 
-// Summaries returns the Opt IV condensation artifact of the requested
-// graph flavor: the supernode graph plus per-region definedness
-// summaries (see internal/vfgsum). It is only computed when summary
-// resolution is enabled; Gamma resolves its inputs accordingly.
-func (st *Store) Summaries(topLevelOnly bool) (*vfgsum.Summary, error) {
-	g, err := st.Graph(topLevelOnly)
-	if err != nil {
-		return nil, err
-	}
-	v, err := st.run("summaries", graphVariant(topLevelOnly), func() (any, map[string]int64, error) {
-		sum := vfgsum.Build(g)
-		ss := sum.Stats
-		return sum, map[string]int64{
-			"boundary_edges":   int64(ss.BoundaryEdges),
-			"chains_collapsed": int64(ss.ChainsCollapsed),
-			"ports":            int64(ss.Ports),
-			"pruned_edges":     int64(ss.PrunedEdges),
-			"sccs_collapsed":   int64(ss.SCCsCollapsed),
-			"supernodes":       int64(ss.Supernodes),
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*vfgsum.Summary), nil
-}
-
-// SeedGamma stages a snapshot-loaded resolved Γ for the given graph
-// variant ("full" or "tl"). The seed is consumed by the first Gamma
-// request: if the rebuilt graph's node count matches, resolution is
-// skipped and the Γ is reconstructed from the bits (graph construction
-// is deterministic, so node numbering is reproducible for an identical
-// program); on a mismatch the seed is ignored and the pass runs. A seed
-// staged after the resolve pass already ran has no effect.
-func (st *Store) SeedGamma(variant string, nodes int, bottom *bitset.Set) {
-	st.mu.Lock()
-	st.gammaSeeds[variant] = gammaSeed{nodes: nodes, bottom: bottom}
-	st.mu.Unlock()
-}
-
-func (st *Store) gammaSeedFor(variant string, nodes int) (*bitset.Set, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	seed, ok := st.gammaSeeds[variant]
-	if !ok || seed.nodes != nodes {
-		return nil, false
-	}
-	return seed.bottom, true
-}
-
 // Gamma returns the resolved definedness of the requested graph flavor.
-// Resolution runs dense (vfg.Resolve) by default, through the Opt IV
-// summaries when vfgsum.Enabled is set, and from a snapshot-seeded bit
-// vector (SeedGamma) when one matches the rebuilt graph — all three
-// paths produce bit-identical Γ.
 func (st *Store) Gamma(topLevelOnly bool) (*vfg.Gamma, error) {
 	g, err := st.Graph(topLevelOnly)
 	if err != nil {
 		return nil, err
 	}
-	variant := graphVariant(topLevelOnly)
-	// A staged VSUM seed that matches the rebuilt graph answers the
-	// resolve slot the way a preloaded plan answers the plan slot:
-	// without running — or recording — the pass. PreloadFunc serializes
-	// the seed against a concurrent real resolve; whichever claims the
-	// slot first wins, and both produce bit-identical Γ.
-	seedBits, seeded := st.gammaSeedFor(variant, len(g.Nodes))
-	if seeded {
-		if _, err := st.PreloadFunc("resolve", variant, func() (any, error) {
-			return vfg.NewGammaFromBits(g, seedBits), nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	// Resolve inputs outside the timed pass body.
-	var sum *vfgsum.Summary
-	if !seeded && vfgsum.Enabled {
-		if sum, err = st.Summaries(topLevelOnly); err != nil {
-			return nil, err
-		}
-	}
-	v, err := st.run("resolve", variant, func() (any, map[string]int64, error) {
-		var gm *vfg.Gamma
-		if sum != nil {
-			gm = sum.Resolve()
-		} else {
-			gm = vfg.Resolve(g)
-		}
+	v, err := st.run("resolve", graphVariant(topLevelOnly), func() (any, map[string]int64, error) {
+		gm := vfg.Resolve(g)
 		return gm, map[string]int64{
 			"nodes":  int64(len(g.Nodes)),
 			"bottom": int64(gm.BottomCount()),
@@ -513,41 +418,6 @@ func (st *Store) Gamma(topLevelOnly bool) (*vfg.Gamma, error) {
 		return nil, err
 	}
 	return v.(*vfg.Gamma), nil
-}
-
-// CachedGamma returns the resolved Γ for the given graph variant if the
-// resolve pass already ran (or was seeded), without triggering it. The
-// snapshot export path uses it to serialize only what a session actually
-// resolved.
-func (st *Store) CachedGamma(variant string) (*vfg.Gamma, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	k := Key{"resolve", variant}
-	if !st.done[k] {
-		return nil, false
-	}
-	e := st.entries[k]
-	if e == nil || e.err != nil || e.val == nil {
-		return nil, false
-	}
-	return e.val.(*vfg.Gamma), true
-}
-
-// PrewarmResolve materializes every resolution artifact — Γ over both
-// graph variants plus the Opt II re-resolution — concurrently on up to
-// parallel workers (0 means one per CPU). The store's once-memoization
-// makes the results, and every recorded counter, bit-identical to the
-// sequential lazy order at any worker count; only the wall-clock moves.
-func (st *Store) PrewarmResolve(parallel int) error {
-	if parallel <= 0 {
-		parallel = pool.DefaultParallelism()
-	}
-	tasks := []func() error{
-		func() error { _, err := st.Gamma(false); return err },
-		func() error { _, err := st.Gamma(true); return err },
-		func() error { _, err := st.OptII(); return err },
-	}
-	return pool.ForEach(parallel, len(tasks), func(i int) error { return tasks[i]() })
 }
 
 // OptIIResult is the artifact of the Opt II pass: the re-resolved Γ with
@@ -570,16 +440,7 @@ func (st *Store) OptII() (*OptIIResult, error) {
 		return nil, err
 	}
 	v, err := st.run("optII", "", func() (any, map[string]int64, error) {
-		// Opt IV routes the re-resolution through a cut-aware summary
-		// build: the cached cut-free summary cannot serve a cut (an edge
-		// removed inside a condensed region must split the region).
-		resolve := func(cut func(from, to vfg.NodeID) bool) *vfg.Gamma {
-			if vfgsum.Enabled {
-				return vfgsum.ResolveCut(g, cut)
-			}
-			return vfg.ResolveCut(g, cut)
-		}
-		g2, redirected := vfgopt.RedundantCheckElimWith(g, gm, resolve)
+		g2, redirected := vfgopt.RedundantCheckElim(g, gm)
 		return &OptIIResult{Gamma: g2, Redirected: redirected},
 			map[string]int64{"redirected": int64(redirected)}, nil
 	})

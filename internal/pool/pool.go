@@ -1,7 +1,6 @@
 // Package pool provides the bounded, deterministic worker pool shared
-// by usher-bench and usher-difftest, the daemon's default worker count,
-// the pipeline's resolution prewarm, the Opt IV condensation and the
-// module build's batch compiles.
+// by usher-bench and usher-difftest, the daemon's default worker count
+// and the module build's batch compiles.
 package pool
 
 import (

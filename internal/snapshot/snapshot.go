@@ -5,7 +5,7 @@
 // load the snapshot, verify the fingerprint, and skip the pointer solve
 // and value-flow construction entirely.
 //
-// # File format (version 1)
+// # File format (version 2)
 //
 //	offset  size  field
 //	0       8     magic "USHSNAP1"
@@ -20,21 +20,19 @@
 //	payload  length bytes
 //	crc      uint32 little-endian, IEEE CRC-32 of payload
 //
-// Three section tags exist: "PTRS" (exactly one; the pointer-analysis
+// Two section tags exist: "PTRS" (exactly one; the pointer-analysis
 // export — solver stats, collapsed objects, interned location table,
-// per-register points-to sets, call-graph edges), "VSUM" (zero or more,
-// at most one per VFG variant; a resolved Γ as its ⊥ bit vector over
-// node ids, so warm starts skip Γ resolution) and "PLAN" (zero or
+// per-register points-to sets, call-graph edges) and "PLAN" (zero or
 // more; one instrumentation plan per configuration, with its Opt I/II/
 // III statistics). Payload integers are unsigned varints (zigzag for
 // the one signed field, constant values); object references are IDs,
 // functions are indices into prog.Funcs, and registers are ids within
 // their function — the same dense-index discipline as pointer.Export.
-// (VSUM bitset words are fixed 8-byte little-endian, not varints.)
-// Unknown tags are an error: the version field gates incompatible
-// format evolution, while additive sections like VSUM keep the version
-// — a new reader consumes old files unchanged, and an old reader
-// treats a newer file exactly like corruption, falling back to the
+// Unknown tags are an error, and the version field gates format
+// evolution: adding a section or removing one is an incompatible change
+// that bumps the version (version 1 files could carry "VSUM" sections,
+// resolved Γ bit vectors, which version 2 dropped). A reader treats a
+// file of any other version exactly like corruption, falling back to the
 // safe cold solve.
 //
 // # Failure discipline
@@ -66,11 +64,10 @@ import (
 
 const (
 	magic   = "USHSNAP1"
-	version = 1
+	version = 2
 
 	tagPointer = "PTRS"
 	tagPlan    = "PLAN"
-	tagVSum    = "VSUM"
 )
 
 // ErrStale reports a structurally valid snapshot whose fingerprint does
@@ -82,11 +79,6 @@ var ErrStale = errors.New("snapshot: fingerprint mismatch (snapshot is for a dif
 type Snapshot struct {
 	Pointer *pointer.Export
 	Plans   []PlanEntry
-	// Gammas holds the resolved Γ bit vectors of the VFG variants the
-	// session materialized (the VSUM sections), so a warm start skips Γ
-	// resolution — and with it the VFG-side re-derivation cost — not
-	// just the pointer solve.
-	Gammas []GammaEntry
 }
 
 // PlanEntry is one configuration's instrumentation plan with the
@@ -187,15 +179,6 @@ func Write(w io.Writer, prog *ir.Program, snap *Snapshot) error {
 	if err := writeSection(w, tagPointer, payload); err != nil {
 		return err
 	}
-	for _, ge := range snap.Gammas {
-		payload, err := encodeGamma(ge)
-		if err != nil {
-			return err
-		}
-		if err := writeSection(w, tagVSum, payload); err != nil {
-			return err
-		}
-	}
 	for _, pe := range snap.Plans {
 		payload, err := encodePlan(ctx, pe)
 		if err != nil {
@@ -254,16 +237,6 @@ func Read(r io.Reader, prog *ir.Program) (*Snapshot, error) {
 			pe, err = decodePlan(ctx, payload)
 			if err == nil {
 				snap.Plans = append(snap.Plans, pe)
-			}
-		case tagVSum:
-			var ge GammaEntry
-			ge, err = decodeGamma(payload)
-			if err == nil {
-				if _, dup := snap.GammaByVariant(ge.Variant); dup {
-					err = fmt.Errorf("snapshot: duplicate VSUM section for variant %q", ge.Variant)
-				} else {
-					snap.Gammas = append(snap.Gammas, ge)
-				}
 			}
 		default:
 			err = fmt.Errorf("snapshot: unknown section tag %q", tag)

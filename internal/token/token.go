@@ -87,7 +87,7 @@ var kindNames = map[Kind]string{
 	PERCENT: "%", AMP: "&", PIPE: "|", CARET: "^", SHL: "<<", SHR: ">>",
 	NOT: "!", TILDE: "~", EQ: "==", NEQ: "!=", LT: "<", GT: ">",
 	LEQ: "<=", GEQ: ">=", LAND: "&&", LOR: "||", DOT: ".", ELLIPSIS: "...",
-	ARROW: "->",
+	ARROW:    "->",
 	PLUSPLUS: "++", MINUSMINUS: "--", PLUSASSIGN: "+=", MINUSASSIGN: "-=",
 	KwInt: "int", KwChar: "char", KwVoid: "void", KwStruct: "struct", KwIf: "if",
 	KwElse: "else", KwWhile: "while", KwFor: "for", KwReturn: "return",

@@ -340,8 +340,8 @@ func (b *builder) buildFunc(fn *ir.Function) {
 	}
 	// Memory phis. fi.Phis is keyed by block; iterate the function's
 	// block list rather than the map so node creation order — and with
-	// it the graph's node numbering, which snapshot Γ bit vectors index
-	// — is identical on every run.
+	// it the graph's node numbering, which the golden ⊥ sets index — is
+	// identical on every run.
 	for _, blk := range fn.Blocks {
 		for _, d := range fi.Phis[blk] {
 			nd := b.memNode(d)

@@ -8,7 +8,6 @@ import (
 	"github.com/valueflow/usher/internal/pointer"
 	"github.com/valueflow/usher/internal/randprog"
 	"github.com/valueflow/usher/internal/vfg"
-	"github.com/valueflow/usher/internal/vfgsum"
 	"github.com/valueflow/usher/internal/workload"
 )
 
@@ -26,10 +25,8 @@ func randomCut(salt, k int) func(from, to vfg.NodeID) bool {
 //
 //  1. ResolveCut is exactly ResolveWith with the same Cut option (the
 //     convenience wrapper adds nothing);
-//  2. the Opt IV summary-based vfgsum.ResolveCut produces the identical
-//     Γ (cuts force a cut-aware condensation — a cached cut-free
-//     summary cannot serve them — and that rebuild must not change the
-//     result);
+//  2. the dense reference resolver (vfg.ReferenceResolveWith) produces
+//     the identical Γ under the same cut;
 //  3. cutting edges is monotone: an edge cut only removes ⊥ flows, so
 //     the cut ⊥ set is a subset of the uncut one.
 func checkCutEquivalence(t *testing.T, tag string, g *vfg.Graph, cut func(from, to vfg.NodeID) bool) {
@@ -37,16 +34,16 @@ func checkCutEquivalence(t *testing.T, tag string, g *vfg.Graph, cut func(from, 
 	uncut := vfg.Resolve(g)
 	viaCut := vfg.ResolveCut(g, cut)
 	viaWith := vfg.ResolveWith(g, vfg.ResolveOptions{Cut: cut})
-	viaSum := vfgsum.ResolveCut(g, cut)
+	viaRef := vfg.ReferenceResolveWith(g, vfg.ResolveOptions{Cut: cut})
 	for i, nd := range g.Nodes {
 		n := vfg.NodeID(i)
 		if viaCut.Of(n) != viaWith.Of(n) {
 			t.Fatalf("%s: node %v: ResolveCut %v, ResolveWith{Cut} %v",
 				tag, nd, viaCut.Of(n), viaWith.Of(n))
 		}
-		if viaCut.Of(n) != viaSum.Of(n) {
-			t.Fatalf("%s: node %v: dense cut %v, summary cut %v",
-				tag, nd, viaCut.Of(n), viaSum.Of(n))
+		if viaCut.Of(n) != viaRef.Of(n) {
+			t.Fatalf("%s: node %v: cut %v, reference cut %v",
+				tag, nd, viaCut.Of(n), viaRef.Of(n))
 		}
 		if viaCut.Of(n) == vfg.Bottom && uncut.Of(n) == vfg.Top {
 			t.Fatalf("%s: node %v: ⊥ under the cut but ⊤ without it (cut added a flow)",

@@ -1,6 +1,9 @@
 package vfg
 
 import (
+	"cmp"
+	"slices"
+
 	"github.com/valueflow/usher/internal/bitset"
 	"github.com/valueflow/usher/internal/ir"
 )
@@ -57,15 +60,6 @@ func (gm *Gamma) OfValue(v ir.Value) State {
 	return Top
 }
 
-// NewGammaFromBits reconstructs a Γ from a previously exported ⊥ bit
-// vector over g's node ids (see BottomBits). The caller asserts that the
-// bits were resolved against a graph with identical node numbering — the
-// snapshot warm-start path guarantees it by keying on the program
-// fingerprint and re-checking the node count.
-func NewGammaFromBits(g *Graph, bottom *bitset.Set) *Gamma {
-	return &Gamma{g: g, n: len(g.Nodes), bottom: bottom}
-}
-
 // BottomBits exposes the ⊥ set as a dense bit vector over node ids, or
 // nil when the resolution ran over merged equivalence classes (the bits
 // then live on class representatives and are not meaningful per node).
@@ -76,9 +70,6 @@ func (gm *Gamma) BottomBits() *bitset.Set {
 	}
 	return gm.bottom
 }
-
-// NodeCount returns the node count the resolution ran against.
-func (gm *Gamma) NodeCount() int { return gm.n }
 
 // BottomCount returns the number of ⊥ nodes.
 func (gm *Gamma) BottomCount() int {
@@ -94,10 +85,6 @@ func (gm *Gamma) BottomCount() int {
 	}
 	return n
 }
-
-// ctx is a resolution context: the call site through which undefinedness
-// entered the current function, or unknown (the widened top context).
-const ctxUnknown = 0
 
 // ResolveOptions tunes definedness resolution.
 type ResolveOptions struct {
@@ -129,13 +116,24 @@ func ResolveCut(g *Graph, cut func(from, to NodeID) bool) *Gamma {
 
 // ResolveWith is the general entry point.
 //
-// The propagation state is kept in dense bit sets rather than per-node
-// maps: the ⊥ frontier is one bit per node, the visited-in-unknown-context
-// set is one bit per node, and the visited-in-specific-context sets are
-// per-node context bit vectors allocated only for nodes that are ever
-// reached under a specific call-site context. Resolution performs no
-// allocation proportional to the number of (node, context) visits and
-// never mutates the graph, so it may run concurrently over a shared graph.
+// Nodes reached in the unknown context propagate along every user edge
+// they have. A callee entry e reached through call site c stands for its
+// whole intraprocedural closure: the first call edge into e walks that
+// closure once, marking each node ⊥, entering every callee it calls under
+// that call's own site and recording the closure's return exits sorted by
+// site, and every entry (e, c), the first included, then leaves only
+// through the exits whose site is c. This is exact, because a node
+// reached from e under context c is reached from e under every context;
+// only the return exits depend on c. The walk stops at nodes already
+// reached in the unknown context: that context subsumes every specific
+// one, so such a node reaches everything beyond it, return exits
+// included, on its own.
+//
+// The state is a fixed set of flat arrays: the ⊥ and unknown-context bit
+// sets, a walk stamp and an entry index per node, and one array holding
+// every walked entry's exits. Nothing is allocated per node visit or per
+// calling context; only those arrays grow. Resolution never mutates the
+// graph, so it may run concurrently over a shared graph.
 func ResolveWith(g *Graph, opts ResolveOptions) *Gamma {
 	cut := opts.Cut
 	nn := len(g.Nodes)
@@ -153,54 +151,83 @@ func ResolveWith(g *Graph, opts ResolveOptions) *Gamma {
 		usersOf = eq.classUsers
 	}
 
-	// Context ids: 0 = unknown, otherwise the graph's dense call-site id,
-	// which every call and return edge carries.
-	numCtx := g.NumSites() + 1
-
-	type state struct {
-		node NodeID
-		ctx  int32
-	}
-	// Visited sets: ctxUnknown subsumes every specific context. Reads on
-	// nil per-node context sets are fine (a nil *bitset.Set is empty).
-	visitedUnknown := bitset.New(nn)
-	visitedCtx := make([]*bitset.Set, nn)
-	seen := func(n NodeID, ctx int32) bool {
-		if visitedUnknown.Has(int(n)) {
-			return true
-		}
-		if ctx == ctxUnknown {
-			return false
-		}
-		return visitedCtx[n].Has(int(ctx))
-	}
-	mark := func(n NodeID, ctx int32) {
-		if ctx == ctxUnknown {
-			// Widen: unknown subsumes all specific contexts.
-			visitedUnknown.Add(int(n))
-			visitedCtx[n] = nil
-		} else {
-			b := visitedCtx[n]
-			if b == nil {
-				b = bitset.New(numCtx)
-				visitedCtx[n] = b
-			}
-			b.Add(int(ctx))
-		}
-		gm.bottom.Add(int(n))
-	}
-
-	var work []state
-	push := func(n NodeID, ctx int32) {
+	// The unknown context: reached nodes, and those still to propagate.
+	unknown := bitset.New(nn)
+	var work []NodeID
+	reach := func(n NodeID) {
 		if IsRoot(n) {
 			return
 		}
 		n = rep(n)
-		if seen(n, ctx) {
+		if unknown.Add(int(n)) {
+			gm.bottom.Add(int(n))
+			work = append(work, n)
+		}
+	}
+
+	// Callee entries still to take, as call edges (entry node, call site).
+	// entryIdx[e] is i > 0 once e's closure has been walked, its return
+	// exits then being exits[exitStart[i-1]:exitStart[i]]. walked[v] is
+	// the entry whose walk reached v last, or RootT (never an entry) if
+	// no walk has.
+	type exit struct {
+		site int32
+		to   NodeID
+	}
+	var entries []Edge
+	var exits []exit
+	exitStart := []int32{0}
+	entryIdx := make([]int32, nn)
+	walked := make([]NodeID, nn)
+	var stack []NodeID
+	walk := func(e NodeID) {
+		first := len(exits)
+		walked[e] = e
+		stack = append(stack[:0], e)
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			gm.bottom.Add(int(v))
+			for _, u := range usersOf(v) {
+				if cut != nil && cut(u.To, v) {
+					continue
+				}
+				switch u.Kind {
+				case EdgeIntra:
+					if t := rep(u.To); walked[t] != e && !unknown.Has(int(t)) {
+						walked[t] = e
+						stack = append(stack, t)
+					}
+				case EdgeCall:
+					entries = append(entries, u)
+				case EdgeRet:
+					if len(exits) == cap(exits) {
+						// Grow by doubling: append grows a large slice by
+						// only a quarter, and walks append many exits.
+						exits = slices.Grow(exits, len(exits)+64)
+					}
+					exits = append(exits, exit{u.Site, u.To})
+				}
+			}
+		}
+		slices.SortFunc(exits[first:], func(a, b exit) int { return cmp.Compare(a.site, b.site) })
+		exitStart = append(exitStart, int32(len(exits)))
+		entryIdx[e] = int32(len(exitStart) - 1)
+	}
+	enter := func(e NodeID, site int32) {
+		e = rep(e)
+		if unknown.Has(int(e)) {
 			return
 		}
-		mark(n, ctx)
-		work = append(work, state{n, ctx})
+		if entryIdx[e] == 0 {
+			walk(e)
+		}
+		i := entryIdx[e]
+		ex := exits[exitStart[i-1]:exitStart[i]]
+		j, _ := slices.BinarySearchFunc(ex, site, func(x exit, site int32) int { return cmp.Compare(x.site, site) })
+		for ; j < len(ex) && ex[j].site == site; j++ {
+			reach(ex[j].to)
+		}
 	}
 
 	for _, e := range g.Users(RootF) {
@@ -209,33 +236,31 @@ func ResolveWith(g *Graph, opts ResolveOptions) *Gamma {
 		if cut != nil && cut(e.To, RootF) {
 			continue
 		}
-		push(e.To, ctxUnknown)
+		reach(e.To)
 	}
-	for len(work) > 0 {
-		s := work[len(work)-1]
+	// Drain the unknown context before taking an entry, so that walks stop
+	// as early as possible.
+	for len(work) > 0 || len(entries) > 0 {
+		if len(work) == 0 {
+			e := entries[len(entries)-1]
+			entries = entries[:len(entries)-1]
+			enter(e.To, e.Site)
+			continue
+		}
+		n := work[len(work)-1]
 		work = work[:len(work)-1]
-		for _, e := range usersOf(s.node) {
-			// A user edge from s.node to e.To corresponds to the
-			// dependence edge e.To → s.node.
-			if cut != nil && cut(e.To, s.node) {
+		for _, e := range usersOf(n) {
+			// A user edge from n to e.To corresponds to the dependence
+			// edge e.To → n.
+			if cut != nil && cut(e.To, n) {
 				continue
 			}
-			kind := e.Kind
-			if opts.ContextInsensitive {
-				kind = EdgeIntra
-			}
-			switch kind {
-			case EdgeIntra:
-				push(e.To, s.ctx)
-			case EdgeCall:
-				// Entering the callee at e.Site: remember it (1 level).
-				push(e.To, e.Site)
-			case EdgeRet:
-				// Leaving the callee towards e.Site: allowed if we entered
-				// there, or if the entry site is unknown.
-				if s.ctx == ctxUnknown || s.ctx == e.Site {
-					push(e.To, ctxUnknown)
-				}
+			if e.Kind == EdgeCall && !opts.ContextInsensitive {
+				entries = append(entries, e)
+			} else {
+				// Intraprocedural edges, and return edges, which the
+				// unknown context may leave through towards any site.
+				reach(e.To)
 			}
 		}
 	}

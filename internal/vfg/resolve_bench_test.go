@@ -8,6 +8,7 @@ import (
 	"github.com/valueflow/usher/internal/passes"
 	"github.com/valueflow/usher/internal/pointer"
 	"github.com/valueflow/usher/internal/vfg"
+	"github.com/valueflow/usher/internal/vfgopt"
 	"github.com/valueflow/usher/internal/workload"
 )
 
@@ -75,5 +76,35 @@ func BenchmarkResolveLarge(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		vfg.Resolve(g)
+	}
+}
+
+// optIISink keeps BenchmarkResolveXL's last call live.
+var optIISink *vfg.Gamma
+
+// BenchmarkResolveXL times all the resolution one session of the
+// resolve-stress profile pays for: Γ over the full and the top-level-only
+// graph, plus Opt II's redundant-check elimination with its cut
+// re-resolution. Its 150 undef sites each call the same 80 workers, so a
+// resolver that walks a callee body once per calling context does
+// 150 × 80 × 300 node visits here.
+func BenchmarkResolveXL(b *testing.B) {
+	p, ok := workload.XLByName("resolve-xl")
+	if !ok {
+		b.Fatal("no resolve-xl profile")
+	}
+	prog := workload.BuildXL(p)
+	pa := pointer.Analyze(prog)
+	mem := memssa.Build(prog, pa)
+	full := vfg.Build(prog, pa, mem, vfg.Options{})
+	tl := vfg.Build(prog, pa, mem, vfg.Options{TopLevelOnly: true})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gm := vfg.Resolve(full)
+		if vfg.Resolve(tl).BottomCount() == 0 {
+			b.Fatal("no ⊥ nodes")
+		}
+		optIISink, _ = vfgopt.RedundantCheckElim(full, gm)
 	}
 }

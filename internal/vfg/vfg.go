@@ -168,8 +168,8 @@ type Graph struct {
 	Opts    Options
 
 	// Nodes is the node table, indexed by NodeID: T and F, then every
-	// other node in the order construction first needed it. Snapshot Γ
-	// bit vectors index this numbering.
+	// other node in the order construction first needed it. The golden
+	// ⊥ sets (testdata/golden/analysis.json) index this numbering.
 	Nodes []Node
 
 	// Dependences and users in CSR form: node n's dependences are
@@ -247,10 +247,6 @@ func (g *Graph) Users(n NodeID) []Edge {
 	lo, hi := g.userStart[n], g.userStart[n+1]
 	return g.users[lo:hi:hi]
 }
-
-// UserCSR exposes the users array in CSR form: node n's users are
-// edges[start[n]:start[n+1]]. Both slices are read-only.
-func (g *Graph) UserCSR() (start []int32, edges []Edge) { return g.userStart, g.users }
 
 // NumEdges returns the number of dependence edges.
 func (g *Graph) NumEdges() int { return len(g.deps) }

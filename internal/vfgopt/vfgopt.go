@@ -101,17 +101,6 @@ func (m *MFC) Simplified() bool { return m.Interior > 1 || (m.Interior == 1 && l
 // using the returned Γ, so that all shadow values remain initialized
 // (line 9 of Algorithm 1).
 func RedundantCheckElim(g *vfg.Graph, gm *vfg.Gamma) (*vfg.Gamma, int) {
-	return RedundantCheckElimWith(g, gm, func(cut func(from, to vfg.NodeID) bool) *vfg.Gamma {
-		return vfg.ResolveCut(g, cut)
-	})
-}
-
-// RedundantCheckElimWith is RedundantCheckElim with an injected
-// re-resolver: the pipeline passes the summary-based resolver (Opt IV)
-// when it is enabled, the dense vfg.ResolveCut otherwise. Both produce
-// bit-identical Γ under the same cut set.
-func RedundantCheckElimWith(g *vfg.Graph, gm *vfg.Gamma,
-	resolve func(cut func(from, to vfg.NodeID) bool) *vfg.Gamma) (*vfg.Gamma, int) {
 	type edge struct{ from, to vfg.NodeID }
 	cuts := make(map[edge]bool)
 	redirected := make(map[vfg.NodeID]bool)
@@ -180,7 +169,7 @@ func RedundantCheckElimWith(g *vfg.Graph, gm *vfg.Gamma,
 	if len(cuts) == 0 {
 		return gm, 0
 	}
-	newGamma := resolve(func(from, to vfg.NodeID) bool {
+	newGamma := vfg.ResolveCut(g, func(from, to vfg.NodeID) bool {
 		return cuts[edge{from, to}]
 	})
 	return newGamma, len(redirected)

@@ -56,16 +56,15 @@ type XLProfile struct {
 	// profiles' generated IR is byte-identical to what it was before
 	// these fields existed.
 	//
-	// The structure is built to separate dense Γ resolution from the
-	// summary-based resolver (internal/vfgsum): UndefSites site
-	// functions each load an uninitialized stack cell — the ⊥ seed —
-	// and pass the result to every one of UndefTargets worker functions
-	// through direct calls; each worker body is a chain of UndefBodyLen
-	// binops folding the parameter into itself, ending in a ret of the
-	// chain tail. Dense resolution re-walks each worker body once per
-	// calling context (sites × targets × body states); the condensed
-	// graph collapses each body into one supernode, expanded exactly
-	// once, leaving only the cheap per-context return checks.
+	// The structure stresses Γ resolution's calling contexts:
+	// UndefSites site functions each load an uninitialized stack cell —
+	// the ⊥ seed — and pass the result to every one of UndefTargets
+	// worker functions through direct calls; each worker body is a chain
+	// of UndefBodyLen binops folding the parameter into itself, ending in
+	// a ret of the chain tail. A resolver that re-walks each worker body
+	// once per calling context pays sites × targets × body states;
+	// vfg.ResolveWith walks each body once, on its first entry, and pays
+	// only a return-exit lookup for every later context.
 	UndefSites   int
 	UndefTargets int
 	UndefBodyLen int

@@ -11,7 +11,6 @@ import (
 	"github.com/valueflow/usher/internal/snapshot"
 	"github.com/valueflow/usher/internal/stats"
 	"github.com/valueflow/usher/internal/vfg"
-	"github.com/valueflow/usher/internal/vfgsum"
 )
 
 // Session caches the config-invariant analysis artifacts of one compiled
@@ -176,21 +175,10 @@ func (s *Session) WarmStart(snap *snapshot.Snapshot) (int, error) {
 			plans++
 		}
 	}
-	// Resolved Γs (VSUM sections) are staged rather than preloaded: a Γ
-	// indexes the VFG's node numbering, so the store consumes the seed
-	// when the graph of that variant exists, after re-checking the node
-	// count. A demand that never touches the variant never pays for it.
-	gammas := 0
-	for _, ge := range snap.Gammas {
-		s.store.SeedGamma(ge.Variant, ge.Nodes, ge.Bottom)
-		n++
-		gammas++
-	}
 	s.store.Observe("snapshot", "", time.Since(start), map[string]int64{
-		"plans_loaded":  int64(plans),
-		"gammas_loaded": int64(gammas),
-		"pts_regs":      int64(len(snap.Pointer.Regs)),
-		"call_edges":    int64(len(snap.Pointer.Calls)),
+		"plans_loaded": int64(plans),
+		"pts_regs":     int64(len(snap.Pointer.Regs)),
+		"call_edges":   int64(len(snap.Pointer.Calls)),
 	})
 	return n, nil
 }
@@ -210,21 +198,6 @@ func (s *Session) Snapshot() (*snapshot.Snapshot, error) {
 		return nil, err
 	}
 	snap := &snapshot.Snapshot{Pointer: ex}
-	for _, variant := range []string{snapshot.GammaFull, snapshot.GammaTL} {
-		gm, ok := s.store.CachedGamma(variant)
-		if !ok {
-			continue
-		}
-		bits := gm.BottomBits()
-		if bits == nil {
-			continue // merged-equivalence Γ has no per-node bit vector
-		}
-		snap.Gammas = append(snap.Gammas, snapshot.GammaEntry{
-			Variant: variant,
-			Nodes:   gm.NodeCount(),
-			Bottom:  bits,
-		})
-	}
 	for _, name := range s.store.PlanNames() {
 		pr, ok := s.store.CachedPlan(name)
 		if !ok {
@@ -240,36 +213,6 @@ func (s *Session) Snapshot() (*snapshot.Snapshot, error) {
 		})
 	}
 	return snap, nil
-}
-
-// PrewarmGraphs materializes both VFG variants (and their pointer /
-// memory-SSA prerequisites) without resolving Γ. Benchmarks use it to
-// time resolution in isolation; production callers can use it to move
-// graph construction off the first analysis request.
-func (s *Session) PrewarmGraphs() error {
-	if _, err := s.store.Graph(false); err != nil {
-		return err
-	}
-	_, err := s.store.Graph(true)
-	return err
-}
-
-// PrewarmResolve materializes every resolution artifact — Γ over both
-// graph variants plus the Opt II re-resolution — concurrently on up to
-// parallel workers (0 means one per CPU). Results and recorded counters
-// are bit-identical to the lazy sequential order at any worker count;
-// only the wall-clock moves. Configurations analyzed afterwards find
-// resolution already done.
-func (s *Session) PrewarmResolve(parallel int) error {
-	return s.store.PrewarmResolve(parallel)
-}
-
-// Summaries returns the Opt IV condensation artifact (supernode graph
-// plus definedness summaries) for the requested graph variant,
-// computing it on first use regardless of whether summary resolution is
-// enabled process-wide.
-func (s *Session) Summaries(topLevelOnly bool) (*vfgsum.Summary, error) {
-	return s.store.Summaries(topLevelOnly)
 }
 
 // EvictErrors discards every cached pass failure in the session's

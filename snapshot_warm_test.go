@@ -1,7 +1,9 @@
 package usher_test
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"testing"
 
@@ -96,8 +98,8 @@ func TestSnapshotWarmStartSkipsPasses(t *testing.T) {
 	if err != nil {
 		t.Fatalf("warm start: %v", err)
 	}
-	if want := 1 + len(cfgs) + 2; seeded != want {
-		t.Errorf("seeded %d artifacts, want %d (pointer + %d plans + 2 Γs)", seeded, want, len(cfgs))
+	if want := 1 + len(cfgs); seeded != want {
+		t.Errorf("seeded %d artifacts, want %d (pointer + %d plans)", seeded, want, len(cfgs))
 	}
 	for _, cfg := range cfgs {
 		a, err := warm.Analyze(cfg)
@@ -124,9 +126,6 @@ func TestSnapshotWarmStartSkipsPasses(t *testing.T) {
 		if ps.Pass == "snapshot" {
 			if got, want := ps.Counters["plans_loaded"], int64(len(cfgs)); got != want {
 				t.Errorf("snapshot sample counts %d plans loaded, want %d", got, want)
-			}
-			if got, want := ps.Counters["gammas_loaded"], int64(2); got != want {
-				t.Errorf("snapshot sample counts %d Γs loaded, want %d", got, want)
 			}
 		}
 	}
@@ -189,8 +188,8 @@ func TestSnapshotWarmStartRuns(t *testing.T) {
 }
 
 // TestSnapshotStaleAndCorruptFallBack pins the failure path a driver
-// follows: a stale or corrupted snapshot errors out of the load, and
-// the cold solve that follows still produces the correct plan.
+// follows: a stale, old-format or corrupted snapshot errors out of the
+// load, and the cold solve that follows still produces the correct plan.
 func TestSnapshotStaleAndCorruptFallBack(t *testing.T) {
 	pa, _ := workload.ByName("equake")
 	pb, _ := workload.ByName("art")
@@ -224,6 +223,23 @@ func TestSnapshotStaleAndCorruptFallBack(t *testing.T) {
 	}
 	if _, err := snapshot.Load(dir, progB); !errors.Is(err, snapshot.ErrStale) {
 		t.Fatalf("stale load: got %v, want ErrStale", err)
+	}
+
+	// Version 1: the same file as format version 1 with a trailing VSUM
+	// section (a resolved Γ, which version 2 dropped) must error out of
+	// the load, never panic.
+	vsum := []byte("\x04full\x40\x01\x01\x00\x00\x00\x00\x00\x00\x00")
+	v1 := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(v1[8:12], 1)
+	v1 = append(v1, "VSUM"...)
+	v1 = binary.LittleEndian.AppendUint32(v1, uint32(len(vsum)))
+	v1 = append(v1, vsum...)
+	v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(vsum))
+	if err := os.WriteFile(pathA, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snapshot.Load(dir, progA); err == nil {
+		t.Fatal("version-1 snapshot with a VSUM section loaded without error")
 	}
 
 	// Corrupt: damage A's file in place; the load must error (not
