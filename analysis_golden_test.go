@@ -20,8 +20,8 @@ const analysisGoldenFile = "testdata/golden/analysis.json"
 
 // goldenGraph pins one VFG variant: its node count and its ⊥ set, the
 // latter as a count plus the SHA-256 of the ⊥ node ids in ascending
-// order (one decimal id per line). Snapshot Γ bit vectors index node
-// ids, so the numbering itself is part of what is pinned.
+// order (one decimal id per line). Γ's bit vector indexes node ids, so
+// the numbering itself is part of what is pinned.
 type goldenGraph struct {
 	Variant      string `json:"variant"`
 	Nodes        int    `json:"nodes"`

@@ -48,7 +48,7 @@ import (
 )
 
 func main() {
-	configName := flag.String("config", "usher", "configuration: msan, tl, tlat, opti, usher")
+	configName := flag.String("config", "usher", "configuration: msan, tl, tlat, opti, usher, optiii, or a plan name such as UsherTL+AT")
 	levelName := flag.String("level", "O0+IM", "optimization level: O0, O0+IM, O1, O2")
 	compare := flag.Bool("compare", false, "run every configuration and compare")
 	dumpIR := flag.Bool("dump-ir", false, "print the optimized IR and exit")
@@ -122,7 +122,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	level, err := parseLevel(*levelName)
+	level, err := passes.ParseLevel(*levelName)
 	if err != nil {
 		fatal(err)
 	}
@@ -137,7 +137,7 @@ func main() {
 		violated = compareConfigs(prog, sc)
 		return
 	}
-	cfg, err := parseConfig(*configName)
+	cfg, err := usher.ParseConfig(*configName)
 	if err != nil {
 		fatal(err)
 	}
@@ -197,38 +197,6 @@ func inputSource(workloadName string, args []string) (src, file string, err erro
 		return "", "", err
 	}
 	return string(data), args[0], nil
-}
-
-func parseConfig(name string) (usher.Config, error) {
-	switch strings.ToLower(name) {
-	case "msan", "full":
-		return usher.ConfigMSan, nil
-	case "tl":
-		return usher.ConfigUsherTL, nil
-	case "tlat", "tl+at":
-		return usher.ConfigUsherTLAT, nil
-	case "opti":
-		return usher.ConfigUsherOptI, nil
-	case "usher":
-		return usher.ConfigUsherFull, nil
-	case "optiii", "opt3", "usher3":
-		return usher.ConfigUsherOptIII, nil
-	}
-	return 0, fmt.Errorf("unknown config %q (want msan, tl, tlat, opti, usher or optiii)", name)
-}
-
-func parseLevel(name string) (passes.Level, error) {
-	switch strings.ToUpper(name) {
-	case "O0":
-		return passes.O0, nil
-	case "O0+IM", "O0IM":
-		return passes.O0IM, nil
-	case "O1":
-		return passes.O1, nil
-	case "O2":
-		return passes.O2, nil
-	}
-	return 0, fmt.Errorf("unknown level %q (want O0, O0+IM, O1 or O2)", name)
 }
 
 func reportRun(res *interp.Result, cfg usher.Config) {

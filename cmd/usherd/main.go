@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"github.com/valueflow/usher/internal/bench"
+	"github.com/valueflow/usher/internal/pool"
 	"github.com/valueflow/usher/internal/service"
 )
 
@@ -49,15 +50,17 @@ func main() {
 	maxBodyKB := flag.Int64("max-body-kb", 1024, "maximum /analyze request body in KiB")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline (queueing + analysis + run)")
 	maxSteps := flag.Int64("max-steps", 50_000_000, "dynamic-run instruction budget per request")
-	cf := bench.RegisterCommonFlags(flag.CommandLine)
+	parallel := flag.Int("parallel", pool.DefaultParallelism(), "max concurrently analyzing requests")
+	jsonPath := flag.String("json", "", "write the final /stats view to this path on shutdown")
+	pf := bench.RegisterProfileFlags(flag.CommandLine)
 	flag.Parse()
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "usherd:", err)
 		os.Exit(2)
 	}
-	if err := cf.Validate(); err != nil {
-		fail(err)
+	if *parallel < 1 {
+		fail(fmt.Errorf("-parallel must be at least 1 worker, got %d", *parallel))
 	}
 	if *cacheMB < 0 {
 		fail(fmt.Errorf("-cache-mb must be non-negative, got %d", *cacheMB))
@@ -66,7 +69,7 @@ func main() {
 		fail(fmt.Errorf("-module-cache-mb must be non-negative, got %d", *moduleCacheMB))
 	}
 
-	stopProfiles, err := cf.Profile.Start()
+	stopProfiles, err := pf.Start()
 	if err != nil {
 		fail(err)
 	}
@@ -84,7 +87,7 @@ func main() {
 		ModuleCacheBytes: disableZero(*moduleCacheMB, 20),
 		MaxBodyBytes:     *maxBodyKB << 10,
 		Timeout:          *timeout,
-		Workers:          cf.Parallel,
+		Workers:          *parallel,
 		MaxSteps:         *maxSteps,
 	})
 	httpSrv := &http.Server{
@@ -96,7 +99,7 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "usherd: listening on %s (cache %d MiB, %d workers)\n",
-		*addr, *cacheMB, cf.Parallel)
+		*addr, *cacheMB, *parallel)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -112,8 +115,8 @@ func main() {
 		cancel()
 	}
 
-	if cf.JSONPath != "" {
-		if err := bench.WriteJSONFile(cf.JSONPath, srv.Stats()); err != nil {
+	if *jsonPath != "" {
+		if err := bench.WriteJSONFile(*jsonPath, srv.Stats()); err != nil {
 			fmt.Fprintln(os.Stderr, "usherd: stats report:", err)
 		}
 	}

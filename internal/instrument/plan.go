@@ -165,14 +165,15 @@ func (fp *FnPlan) Shadowed(r *ir.Register) bool {
 }
 
 func (fp *FnPlan) setShadowed(r *ir.Register) {
-	fp.MarkShadowedID(r.ID)
+	for len(fp.shadowRegs) <= r.ID {
+		fp.shadowRegs = append(fp.shadowRegs, false)
+	}
+	fp.shadowRegs[r.ID] = true
 }
 
-// ShadowedRegIDs returns the ids of every register carrying a shadow
-// variable, in ascending order. Together with MarkShadowedID it is the
-// serialization surface of the shadow-register set (internal/snapshot);
-// Fingerprint renders the same list.
-func (fp *FnPlan) ShadowedRegIDs() []int {
+// shadowedRegIDs returns the ids of every register carrying a shadow
+// variable, in ascending order, as Fingerprint renders them.
+func (fp *FnPlan) shadowedRegIDs() []int {
 	var ids []int
 	for id, on := range fp.shadowRegs {
 		if on {
@@ -180,17 +181,6 @@ func (fp *FnPlan) ShadowedRegIDs() []int {
 		}
 	}
 	return ids
-}
-
-// MarkShadowedID marks the register with the given id as carrying a
-// shadow variable: the decode-side inverse of ShadowedRegIDs, used when
-// a plan is rebuilt from a snapshot. Plan producers go through the
-// register-typed setter.
-func (fp *FnPlan) MarkShadowedID(id int) {
-	for len(fp.shadowRegs) <= id {
-		fp.shadowRegs = append(fp.shadowRegs, false)
-	}
-	fp.shadowRegs[id] = true
 }
 
 func (fp *FnPlan) add(label int, it Item) {
@@ -267,7 +257,7 @@ func (p *Plan) Fingerprint() string {
 	for _, fp := range fns {
 		fmt.Fprintf(&sb, "func %s recv=%v setT=%v retSend=%v\n",
 			fp.Fn.Name, fp.ParamRecv, fp.ParamSetT, fp.RetSend)
-		fmt.Fprintf(&sb, "  shadowed=%v\n", fp.ShadowedRegIDs())
+		fmt.Fprintf(&sb, "  shadowed=%v\n", fp.shadowedRegIDs())
 		labels := make([]int, 0, len(fp.Items))
 		for l := range fp.Items {
 			labels = append(labels, l)

@@ -2,6 +2,7 @@ package passes
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/valueflow/usher/internal/ir"
 	"github.com/valueflow/usher/internal/ssa"
@@ -35,6 +36,22 @@ func (l Level) String() string {
 	default:
 		return "O2"
 	}
+}
+
+// ParseLevel resolves a level name as String prints it, in any case;
+// O0IM is accepted for O0+IM.
+func ParseLevel(name string) (Level, error) {
+	switch strings.ToUpper(name) {
+	case "O0":
+		return O0, nil
+	case "O0+IM", "O0IM":
+		return O0IM, nil
+	case "O1":
+		return O1, nil
+	case "O2":
+		return O2, nil
+	}
+	return 0, fmt.Errorf("unknown level %q (want O0, O0+IM, O1 or O2)", name)
 }
 
 // Apply runs the pipeline for the level, in place, and re-verifies the

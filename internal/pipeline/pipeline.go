@@ -33,7 +33,6 @@ const (
 	PhaseSSA        Phase = "ssa"
 	PhaseLink       Phase = "link"
 	PhaseScalarOpt  Phase = "scalaropt"
-	PhaseSnapshot   Phase = "snapshot"
 	PhasePointer    Phase = "pointer"
 	PhaseMemSSA     Phase = "memssa"
 	PhaseVFG        Phase = "vfg"
@@ -85,9 +84,6 @@ var Registry = []*Pass{
 		Counters: []string{"funcs", "globals", "instrs", "modules", "reused"}},
 	{Name: "scalar", Phase: PhaseScalarOpt, Needs: []string{"verify"}, Variants: "level",
 		Produces: "*ir.Program (optimized)"},
-	{Name: "snapshot", Phase: PhaseSnapshot, Needs: []string{"scalar"},
-		Produces: "preloaded artifacts (pointer result, instrumentation plans)",
-		Counters: []string{"call_edges", "plans_loaded", "pts_regs"}},
 	{Name: "pointer", Phase: PhasePointer, Needs: []string{"scalar"},
 		Produces: "*pointer.Result (frozen)",
 		Counters: []string{"constraint_nodes", "constraints", "copy_edges", "locations", "sccs_collapsed", "solver_visits", "solver_waves"}},

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -67,11 +66,9 @@ type Store struct {
 	mu      sync.Mutex
 	entries map[Key]*entry
 	// done marks keys whose entry has completed (pass ran or seed
-	// applied); preloaded marks the subset seeded via Preload rather than
-	// computed. Both are guarded by mu — completion is published here
-	// after once.Do returns, so readers never race the pass body.
-	done      map[Key]bool
-	preloaded map[Key]bool
+	// applied). It is guarded by mu — completion is published here after
+	// once.Do returns, so EvictErrors never races the pass body.
+	done map[Key]bool
 }
 
 // NewStore prepares an artifact store for prog, recording pass
@@ -80,9 +77,8 @@ type Store struct {
 func NewStore(prog *ir.Program, sc *stats.Collector) *Store {
 	return &Store{
 		prog: prog, sc: sc,
-		entries:   make(map[Key]*entry),
-		done:      make(map[Key]bool),
-		preloaded: make(map[Key]bool),
+		entries: make(map[Key]*entry),
+		done:    make(map[Key]bool),
 	}
 }
 
@@ -173,16 +169,17 @@ func (st *Store) EvictErrors() int {
 		}
 		delete(st.entries, k)
 		delete(st.done, k)
-		delete(st.preloaded, k)
 		n++
 	}
 	return n
 }
 
-// Preload seeds the keyed artifact with an externally produced value —
-// the snapshot warm-start path — without running its pass. The seed is
-// dropped (returns false) when the artifact was already computed or
-// seeded: a pass that ran always wins over a snapshot.
+// Preload seeds the keyed artifact with v without running its pass, so
+// every pass that consumes the artifact reads v in its place. It is the
+// seam through which a test substitutes an implementation: the pointer
+// solver's A/B test seeds the legacy reference solver's result and runs
+// the rest of the pipeline unchanged. The seed is dropped (returns false)
+// when the artifact was already computed or seeded.
 func (st *Store) Preload(pass, variant string, v any) bool {
 	ByName(pass) // unknown pass is a programming error, exactly like run
 	k := Key{pass, variant}
@@ -193,130 +190,9 @@ func (st *Store) Preload(pass, variant string, v any) bool {
 		seeded = true
 	})
 	if seeded {
-		st.mu.Lock()
-		st.done[k] = true
-		st.preloaded[k] = true
-		st.mu.Unlock()
+		st.setDone(k, e)
 	}
 	return seeded
-}
-
-// PreloadFunc seeds the keyed artifact by running fn inside the slot's
-// once-guard, which serializes the seed against a concurrent pass run
-// for the same key: exactly one of them executes, and the loser observes
-// the winner's result. Preload cannot give that guarantee a seed that
-// must mutate shared state (pointer.Import collapses IR objects while
-// reconstructing the solved points-to relation) — racing the real pass
-// body would corrupt the program both are reading.
-//
-// When the slot is already claimed (computed, computing, or seeded), fn
-// never runs and PreloadFunc returns (false, nil): a pass that ran wins
-// over a snapshot. When fn itself fails, the slot is evicted immediately
-// (the EvictErrors semantics: racing requests observe the error once,
-// the next request re-runs the real pass) and the error is returned.
-func (st *Store) PreloadFunc(pass, variant string, fn func() (any, error)) (bool, error) {
-	ByName(pass) // unknown pass is a programming error, exactly like run
-	k := Key{pass, variant}
-	e := st.entryFor(k)
-	seeded := false
-	e.once.Do(func() {
-		defer diag.Guard(diag.PhaseAnalyze, &e.err)
-		seeded = true
-		e.val, e.err = fn()
-	})
-	if !seeded {
-		return false, nil
-	}
-	st.mu.Lock()
-	if e.err != nil {
-		if st.entries[k] == e {
-			delete(st.entries, k)
-		}
-	} else {
-		st.done[k] = true
-		st.preloaded[k] = true
-	}
-	st.mu.Unlock()
-	return e.err == nil, e.err
-}
-
-// preloadedVal returns the seeded artifact for k, if the key was
-// populated by Preload (not by a pass run).
-func (st *Store) preloadedVal(pass, variant string) (any, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	k := Key{pass, variant}
-	if !st.preloaded[k] {
-		return nil, false
-	}
-	return st.entries[k].val, true
-}
-
-// PreloadedPointer returns the snapshot-seeded pointer result, if any.
-func (st *Store) PreloadedPointer() (*pointer.Result, bool) {
-	v, ok := st.preloadedVal("pointer", "")
-	if !ok {
-		return nil, false
-	}
-	return v.(*pointer.Result), true
-}
-
-// PreloadedPlan returns the snapshot-seeded plan artifact for the named
-// configuration, if any.
-func (st *Store) PreloadedPlan(name string) (*PlanResult, bool) {
-	v, ok := st.preloadedVal("plan", name)
-	if !ok {
-		return nil, false
-	}
-	return v.(*PlanResult), true
-}
-
-// CachedPlan returns the named plan artifact if it has already been
-// materialized (computed or preloaded), without triggering any pass.
-func (st *Store) CachedPlan(name string) (*PlanResult, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	k := Key{"plan", name}
-	if !st.done[k] {
-		return nil, false
-	}
-	e := st.entries[k]
-	if e == nil || e.err != nil || e.val == nil {
-		return nil, false
-	}
-	return e.val.(*PlanResult), true
-}
-
-// PlanNames returns the names of every plan artifact the store holds
-// (computed or preloaded, errors excluded), sorted.
-func (st *Store) PlanNames() []string {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	var names []string
-	for k := range st.done {
-		if k.Pass != "plan" {
-			continue
-		}
-		if e := st.entries[k]; e != nil && e.err == nil && e.val != nil {
-			names = append(names, k.Variant)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Observe records one externally timed sample for a registered pass.
-// The snapshot warm start uses it: the load happens outside the store's
-// own run path but should still appear in per-phase observability.
-func (st *Store) Observe(pass, variant string, wall time.Duration, counters map[string]int64) {
-	if !st.sc.Enabled() {
-		return
-	}
-	p, rank := ByName(pass)
-	st.sc.Add(stats.Sample{
-		Rank: rank, Pass: p.Name, Phase: string(p.Phase), Variant: variant,
-		Wall: wall, Counters: counters,
-	})
 }
 
 // Pointer returns the whole-program pointer analysis, solving on first
@@ -488,12 +364,6 @@ type PlanResult struct {
 // Plan returns the instrumentation plan artifact for spec, computing it
 // (and every prerequisite) on first use.
 func (st *Store) Plan(spec PlanSpec) (*PlanResult, error) {
-	// A preloaded plan (snapshot warm start) answers immediately:
-	// resolving the graph inputs below would build the very artifacts
-	// the snapshot exists to skip.
-	if pr, ok := st.PreloadedPlan(spec.Name); ok {
-		return pr, nil
-	}
 	// Resolve the inputs outside the timed pass body.
 	g, err := st.Graph(spec.TopLevelOnly && !spec.Full)
 	if err != nil {

@@ -306,72 +306,6 @@ func TestStoreEvictErrorsConcurrent(t *testing.T) {
 	}
 }
 
-// TestStorePreloadFuncClaims pins the seed-by-function contract: the
-// seeding body runs inside the slot's once (so at most once), the seeded
-// value answers later pass demands, and a second seed attempt is a no-op.
-func TestStorePreloadFuncClaims(t *testing.T) {
-	st := compileTestProg(t, nil)
-	calls := 0
-	seed := func() (any, error) { calls++; return "seeded", nil }
-	ok, err := st.PreloadFunc("plan", "warm", seed)
-	if !ok || err != nil || calls != 1 {
-		t.Fatalf("first seed: ok=%v err=%v calls=%d, want true/nil/1", ok, err, calls)
-	}
-	if ok, err := st.PreloadFunc("plan", "warm", seed); ok || err != nil || calls != 1 {
-		t.Fatalf("second seed: ok=%v err=%v calls=%d, want false/nil/1", ok, err, calls)
-	}
-	// A pass demand for the seeded key must consume the seed, not run.
-	v, err := st.run("plan", "warm", func() (any, map[string]int64, error) {
-		t.Error("pass body ran despite the seed")
-		return nil, nil, nil
-	})
-	if err != nil || v != "seeded" {
-		t.Fatalf("run after seed: v=%v err=%v, want seeded/nil", v, err)
-	}
-	if _, ok := st.preloadedVal("plan", "warm"); !ok {
-		t.Error("seeded slot not marked preloaded")
-	}
-}
-
-// TestStorePreloadFuncLosesToRun pins precedence: a pass that ran wins,
-// and the seeding body is never executed on a claimed slot.
-func TestStorePreloadFuncLosesToRun(t *testing.T) {
-	st := compileTestProg(t, nil)
-	if _, err := st.run("plan", "claimed", func() (any, map[string]int64, error) {
-		return "computed", nil, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ok, err := st.PreloadFunc("plan", "claimed", func() (any, error) {
-		t.Error("seed body ran on a computed slot")
-		return nil, nil
-	})
-	if ok || err != nil {
-		t.Fatalf("seed on computed slot: ok=%v err=%v, want false/nil", ok, err)
-	}
-	if _, preloaded := st.preloadedVal("plan", "claimed"); preloaded {
-		t.Error("computed slot reported as preloaded")
-	}
-}
-
-// TestStorePreloadFuncErrorEvicts pins the failure path: a failed seed
-// reports its error, does not poison the slot, and the next demand runs
-// the real pass.
-func TestStorePreloadFuncErrorEvicts(t *testing.T) {
-	st := compileTestProg(t, nil)
-	broken := errors.New("damaged snapshot")
-	ok, err := st.PreloadFunc("plan", "warm", func() (any, error) { return nil, broken })
-	if ok || err != broken {
-		t.Fatalf("failed seed: ok=%v err=%v, want false and the seed's error", ok, err)
-	}
-	v, err := st.run("plan", "warm", func() (any, map[string]int64, error) {
-		return "cold", nil, nil
-	})
-	if err != nil || v != "cold" {
-		t.Fatalf("pass after failed seed: v=%v err=%v, want cold/nil (slot evicted)", v, err)
-	}
-}
-
 // TestStoreCounterDeterminism compiles and analyzes the same program in
 // two independent observed stores — one queried serially, one hammered
 // concurrently — and requires the scrubbed snapshots (runs + counters,

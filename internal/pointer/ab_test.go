@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/valueflow/usher"
+	"github.com/valueflow/usher/internal/instrument"
 	"github.com/valueflow/usher/internal/interp"
 	"github.com/valueflow/usher/internal/ir"
 	"github.com/valueflow/usher/internal/passes"
@@ -20,10 +21,11 @@ import (
 // The A/B harness pins the production bit-vector solver to the legacy
 // map-based reference: for every program, both implementations must
 // produce identical points-to sets, call-graph edges, recursion marks
-// and — end to end — identical warning sites. The two solvers run over
-// separately compiled IR, because solving mutates the shared program
-// state (object collapsing); the compiler is deterministic, so the
-// printed signatures are comparable across compiles.
+// and — end to end — identical Usher plans and warning sites. The two
+// solvers run over separately compiled IR, because solving mutates the
+// shared program state (object collapsing); the compiler is
+// deterministic, so the printed signatures and plan fingerprints are
+// comparable across compiles.
 
 // pointerSignature renders everything the analysis answers into one
 // canonical string: per-register points-to sets, per-call callee lists,
@@ -119,6 +121,19 @@ func diffLines(a, b string) string {
 	return sb.String()
 }
 
+// checkPlanAB compares the Usher plans built on each solver's result.
+// The plan moves with points-to facts that warning sites cannot see: a
+// reference that drops every load and store constraint leaves randprog's
+// warning sites unchanged but changes the plan of every paper profile.
+func checkPlanAB(t *testing.T, name, src string) {
+	t.Helper()
+	_, got := usherPlanFor(t, name, src, false)
+	_, want := usherPlanFor(t, name, src, true)
+	if g, w := got.Fingerprint(), want.Fingerprint(); g != w {
+		t.Errorf("%s: Usher plan divergence (-bitvector +legacy):\n%s", name, diffLines(g, w))
+	}
+}
+
 // TestSolverABCorpus compares the solvers over the checked-in corpus.
 func TestSolverABCorpus(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.c"))
@@ -131,14 +146,18 @@ func TestSolverABCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkAB(t, filepath.Base(f), string(src))
+		checkPlanAB(t, filepath.Base(f), string(src))
 	}
 }
 
 // TestSolverABWorkloads compares the solvers over the SPEC stand-in
-// suite and the solver-scaling profiles.
+// suite, plans included, and the solver-scaling profiles, whose size
+// keeps them to the signature comparison.
 func TestSolverABWorkloads(t *testing.T) {
 	for _, p := range workload.Profiles {
-		checkAB(t, p.Name, workload.Generate(p))
+		src := workload.Generate(p)
+		checkAB(t, p.Name, src)
+		checkPlanAB(t, p.Name, src)
 	}
 	for _, p := range workload.LargeProfiles {
 		if testing.Short() && p.Name == "solver-large" {
@@ -173,12 +192,11 @@ func TestSolverABRandprog(t *testing.T) {
 // usherPlan is the full Usher configuration's plan spec (usher.ConfigUsherFull).
 var usherPlan = pipeline.PlanSpec{Name: "Usher", OptI: true, OptII: true}
 
-// warningsFor runs the full pipeline (analysis, instrumentation, guided
-// execution) and returns the canonical shadow and oracle warning sites.
-// With legacy set, the store is seeded with the reference solver's result
-// before any pass runs, so every downstream pass consumes it in place of
-// the production solve; both sides otherwise take the identical path.
-func warningsFor(t *testing.T, name, src string, legacy bool) string {
+// usherPlanFor compiles src fresh and builds its Usher plan. With legacy
+// set, the store is seeded with the reference solver's result before any
+// pass runs, so every downstream pass consumes it in place of the
+// production solve; both sides otherwise take the identical path.
+func usherPlanFor(t *testing.T, name, src string, legacy bool) (*ir.Program, *instrument.Plan) {
 	t.Helper()
 	prog, err := usher.Compile(name, src)
 	if err != nil {
@@ -195,7 +213,15 @@ func warningsFor(t *testing.T, name, src string, legacy bool) string {
 	if err != nil {
 		t.Fatalf("%s: plan: %v", name, err)
 	}
-	res, err := interp.Run(prog, "main", nil, interp.Options{Shadow: &interp.ShadowConfig{Plan: pr.Plan}})
+	return prog, pr.Plan
+}
+
+// warningsFor runs the full pipeline (analysis, instrumentation, guided
+// execution) and returns the canonical shadow and oracle warning sites.
+func warningsFor(t *testing.T, name, src string, legacy bool) string {
+	t.Helper()
+	prog, plan := usherPlanFor(t, name, src, legacy)
+	res, err := interp.Run(prog, "main", nil, interp.Options{Shadow: &interp.ShadowConfig{Plan: plan}})
 	if err != nil {
 		// Generated programs may trap (uninitialized pointers): the trap
 		// itself must still be solver-independent, so record it.

@@ -450,7 +450,7 @@ func (s *Server) analyze(req *AnalyzeRequest, deadline <-chan time.Time) (*Analy
 	if levelName == "" {
 		levelName = "O0+IM"
 	}
-	level, err := ParseLevel(levelName)
+	level, err := passes.ParseLevel(levelName)
 	if err != nil {
 		return nil, fail(http.StatusBadRequest, "%v", err)
 	}
@@ -460,7 +460,7 @@ func (s *Server) analyze(req *AnalyzeRequest, deadline <-chan time.Time) (*Analy
 	}
 	cfgs := make([]usher.Config, len(cfgNames))
 	for i, name := range cfgNames {
-		if cfgs[i], err = ParseConfig(name); err != nil {
+		if cfgs[i], err = usher.ParseConfig(name); err != nil {
 			return nil, fail(http.StatusBadRequest, "%v", err)
 		}
 	}
@@ -712,46 +712,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // ---- helpers ----
-
-// ParseConfig resolves a configuration name: either a plan name
-// ("Usher", "UsherTL+AT", ...) or the usherc aliases.
-func ParseConfig(name string) (usher.Config, error) {
-	switch strings.ToLower(name) {
-	case "msan", "full":
-		return usher.ConfigMSan, nil
-	case "tl":
-		return usher.ConfigUsherTL, nil
-	case "tlat", "tl+at":
-		return usher.ConfigUsherTLAT, nil
-	case "opti":
-		return usher.ConfigUsherOptI, nil
-	case "usher":
-		return usher.ConfigUsherFull, nil
-	case "optiii", "opt3", "usher3":
-		return usher.ConfigUsherOptIII, nil
-	}
-	for _, c := range usher.ExtendedConfigs {
-		if strings.EqualFold(c.String(), name) {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown config %q (want a plan name like Usher, or msan/tl/tlat/opti/usher/optiii)", name)
-}
-
-// ParseLevel resolves an optimization-level name.
-func ParseLevel(name string) (passes.Level, error) {
-	switch strings.ToUpper(name) {
-	case "O0":
-		return passes.O0, nil
-	case "O0+IM", "O0IM":
-		return passes.O0IM, nil
-	case "O1":
-		return passes.O1, nil
-	case "O2":
-		return passes.O2, nil
-	}
-	return 0, fmt.Errorf("unknown level %q (want O0, O0+IM, O1 or O2)", name)
-}
 
 // statsDelta returns the passes whose run count grew between two
 // snapshots of one collector: the work THIS request caused. Wall time,

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/valueflow/usher/internal/passes"
 	"github.com/valueflow/usher/internal/workload"
 )
 
@@ -340,25 +341,6 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
-func TestParseConfigAndLevel(t *testing.T) {
-	for _, name := range []string{"usher", "Usher", "MSan", "msan", "UsherTL+AT", "tlat", "optiii", "Usher+OptIII"} {
-		if _, err := ParseConfig(name); err != nil {
-			t.Errorf("ParseConfig(%q): %v", name, err)
-		}
-	}
-	if _, err := ParseConfig("turbo"); err == nil {
-		t.Error("ParseConfig accepted an unknown name")
-	}
-	for _, name := range []string{"O0", "o0+im", "O1", "O2"} {
-		if _, err := ParseLevel(name); err != nil {
-			t.Errorf("ParseLevel(%q): %v", name, err)
-		}
-	}
-	if _, err := ParseLevel("O9"); err == nil {
-		t.Error("ParseLevel accepted an unknown level")
-	}
-}
-
 // TestRunReportsShadowViolations submits a program whose Usher plan reads
 // cell shadows it never wrote (solver-small at O0+IM): the run must carry
 // the violations, and a clean program's answer must omit the field.
@@ -436,7 +418,7 @@ func TestAnalyzePhasesCountTriggeredBuild(t *testing.T) {
 
 	// Claim a new program's entry and start its build as a concurrent
 	// request would; a second request coalesces onto it mid-build.
-	level, err := ParseLevel("O0+IM")
+	level, err := passes.ParseLevel("O0+IM")
 	if err != nil {
 		t.Fatal(err)
 	}

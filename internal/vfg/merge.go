@@ -1,9 +1,9 @@
 package vfg
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"cmp"
+	"encoding/binary"
+	"slices"
 )
 
 // Equivalence partitions VFG nodes into access-equivalence classes: nodes
@@ -41,6 +41,8 @@ func ComputeAccessEquivalence(g *Graph) *Equivalence {
 	n := len(g.Nodes)
 	eq := &Equivalence{rep: make([]NodeID, n)}
 	byKey := make(map[string]NodeID)
+	var deps []Edge
+	var key []byte
 	for id := range g.Nodes {
 		v := NodeID(id)
 		if IsRoot(v) {
@@ -48,11 +50,12 @@ func ComputeAccessEquivalence(g *Graph) *Equivalence {
 			eq.classes++
 			continue
 		}
-		key := depKey(g, v)
-		if rep, ok := byKey[key]; ok {
+		deps = append(deps[:0], g.Deps(v)...)
+		key = depKey(key[:0], g.Nodes[v].Kind, deps)
+		if rep, ok := byKey[string(key)]; ok {
 			eq.rep[v] = rep
 		} else {
-			byKey[key] = v
+			byKey[string(key)] = v
 			eq.rep[v] = v
 			eq.classes++
 		}
@@ -75,16 +78,27 @@ func ComputeAccessEquivalence(g *Graph) *Equivalence {
 	return eq
 }
 
-// depKey canonically encodes a node's dependence edges. Call-site ids are
-// global, so edges of different functions never collide.
-func depKey(g *Graph, v NodeID) string {
-	deps := g.Deps(v)
-	parts := make([]string, len(deps))
-	for i, e := range deps {
-		parts[i] = fmt.Sprintf("%d:%d:%d", e.To, e.Kind, e.Site)
+// depKey appends to buf a canonical encoding of a node's kind and its
+// dependence edges, which it sorts in place by (target, kind, site), as
+// fixed-width bytes. Call-site ids are global, so edges of different
+// functions never collide. The kind keeps a register from merging with
+// a memory version of a different function (harmless but confusing in
+// reports).
+func depKey(buf []byte, kind NodeKind, deps []Edge) []byte {
+	slices.SortFunc(deps, func(a, b Edge) int {
+		if c := cmp.Compare(a.To, b.To); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Site, b.Site)
+	})
+	buf = append(buf, byte(kind))
+	for _, e := range deps {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.To))
+		buf = append(buf, byte(e.Kind))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.Site))
 	}
-	sort.Strings(parts)
-	// Distinguish kinds so a register never merges with a memory version
-	// of a different function (harmless but confusing in reports).
-	return fmt.Sprintf("%d|%s", g.Nodes[v].Kind, strings.Join(parts, ","))
+	return buf
 }

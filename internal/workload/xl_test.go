@@ -8,8 +8,7 @@ import (
 )
 
 // TestBuildXLDeterministic pins the generator: identical profiles must
-// print to identical IR (snapshot fingerprints and the analysis golden
-// file depend on this).
+// print to identical IR (the analysis golden file depends on this).
 func TestBuildXLDeterministic(t *testing.T) {
 	p, ok := XLByName("solver-xl-small")
 	if !ok {

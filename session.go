@@ -1,14 +1,11 @@
 package usher
 
 import (
-	"time"
-
 	"github.com/valueflow/usher/internal/diag"
 	"github.com/valueflow/usher/internal/ir"
 	"github.com/valueflow/usher/internal/memssa"
 	"github.com/valueflow/usher/internal/pipeline"
 	"github.com/valueflow/usher/internal/pointer"
-	"github.com/valueflow/usher/internal/snapshot"
 	"github.com/valueflow/usher/internal/stats"
 	"github.com/valueflow/usher/internal/vfg"
 )
@@ -89,20 +86,6 @@ func (s *Session) Analyze(cfg Config) (_ *Analysis, err error) {
 		return nil, err
 	}
 	a := &Analysis{Config: cfg, Prog: s.Prog}
-	if pr, ok := s.store.PreloadedPlan(spec.plan.Name); ok {
-		// Snapshot warm start: the preloaded plan answers the
-		// configuration without demanding any analysis pass — Run
-		// consumes only the plan. Graph, Mem and Gamma stay nil (the
-		// snapshot does not carry them); Pointer is the imported result.
-		a.Plan = pr.Plan
-		a.MFCsSimplified = pr.MFCsSimplified
-		a.Redirected = pr.Redirected
-		a.ChecksElided = pr.ChecksElided
-		if pa, ok := s.store.PreloadedPointer(); ok {
-			a.Pointer = pa
-		}
-		return a, nil
-	}
 	a.Pointer, a.Mem, err = s.Base()
 	if err != nil {
 		return nil, err
@@ -129,90 +112,6 @@ func (s *Session) MustAnalyze(cfg Config) *Analysis {
 	a, err := s.Analyze(cfg)
 	diag.MustNil("analyze "+cfg.String(), err)
 	return a
-}
-
-// WarmStart seeds the session from a snapshot of the same program: the
-// serialized pointer result is imported and every stored
-// instrumentation plan is preloaded into the artifact store, so Analyze
-// skips the pointer solve, memory SSA, VFG construction and Γ
-// resolution for every configuration the snapshot carries. Artifacts
-// the session has already computed keep precedence (a pass that ran
-// wins over the snapshot). The caller is responsible for matching the
-// snapshot to the program — snapshot.Load/Read verify the content
-// fingerprint and refuse stale files — and a damaged snapshot surfaces
-// here as an import error, letting callers fall back to a cold solve.
-// Returns the number of artifacts seeded.
-//
-// WarmStart is safe to race with Analyze on the same session: the
-// pointer import mutates the IR (object collapsing), so it runs inside
-// the store's pointer slot — either the import claims the slot first
-// and every concurrent Analyze consumes the imported result, or a cold
-// solve got there first and the import is skipped entirely. Both orders
-// produce plans with identical fingerprints.
-func (s *Session) WarmStart(snap *snapshot.Snapshot) (int, error) {
-	start := time.Now()
-	n := 0
-	seeded, err := s.store.PreloadFunc("pointer", "", func() (any, error) {
-		return pointer.Import(s.Prog, snap.Pointer)
-	})
-	if err != nil {
-		return 0, err
-	}
-	if seeded {
-		n++
-	}
-	plans := 0
-	for _, pe := range snap.Plans {
-		pr := &pipeline.PlanResult{
-			Plan:           pe.Plan,
-			MFCsSimplified: pe.MFCsSimplified,
-			Redirected:     pe.Redirected,
-			ChecksElided:   pe.ChecksElided,
-			Demanded:       pe.Demanded,
-		}
-		if s.store.Preload("plan", pe.Name, pr) {
-			n++
-			plans++
-		}
-	}
-	s.store.Observe("snapshot", "", time.Since(start), map[string]int64{
-		"plans_loaded": int64(plans),
-		"pts_regs":     int64(len(snap.Pointer.Regs)),
-		"call_edges":   int64(len(snap.Pointer.Calls)),
-	})
-	return n, nil
-}
-
-// Snapshot assembles the persistable view of the session's solved
-// state: the pointer export plus every instrumentation plan computed so
-// far (call it after the analyses of interest have run). Only
-// cold-solved sessions can snapshot — a warm-started session's pointer
-// result was itself imported and has no solver state to export.
-func (s *Session) Snapshot() (*snapshot.Snapshot, error) {
-	pa, err := s.store.Pointer()
-	if err != nil {
-		return nil, err
-	}
-	ex, err := pa.Export(s.Prog)
-	if err != nil {
-		return nil, err
-	}
-	snap := &snapshot.Snapshot{Pointer: ex}
-	for _, name := range s.store.PlanNames() {
-		pr, ok := s.store.CachedPlan(name)
-		if !ok {
-			continue
-		}
-		snap.Plans = append(snap.Plans, snapshot.PlanEntry{
-			Name:           name,
-			Plan:           pr.Plan,
-			MFCsSimplified: pr.MFCsSimplified,
-			Redirected:     pr.Redirected,
-			ChecksElided:   pr.ChecksElided,
-			Demanded:       pr.Demanded,
-		})
-	}
-	return snap, nil
 }
 
 // EvictErrors discards every cached pass failure in the session's

@@ -20,6 +20,7 @@ package usher
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/valueflow/usher/internal/diag"
 	"github.com/valueflow/usher/internal/instrument"
@@ -110,6 +111,32 @@ func (c Config) String() string {
 		return configTable[c].plan.Name
 	}
 	return fmt.Sprintf("Config(%d)", int(c))
+}
+
+// ParseConfig resolves a configuration name: a plan name as String
+// prints it ("Usher", "UsherTL+AT", ...) or a short alias (msan, tl,
+// tlat, opti, usher, optiii), in any case.
+func ParseConfig(name string) (Config, error) {
+	switch strings.ToLower(name) {
+	case "msan", "full":
+		return ConfigMSan, nil
+	case "tl":
+		return ConfigUsherTL, nil
+	case "tlat", "tl+at":
+		return ConfigUsherTLAT, nil
+	case "opti":
+		return ConfigUsherOptI, nil
+	case "usher":
+		return ConfigUsherFull, nil
+	case "optiii", "opt3", "usher3":
+		return ConfigUsherOptIII, nil
+	}
+	for _, c := range ExtendedConfigs {
+		if strings.EqualFold(c.String(), name) {
+			return c, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown config %q (want a plan name like Usher, or msan/tl/tlat/opti/usher/optiii)", name)
 }
 
 // TopLevelOnly reports whether the configuration analyzes top-level

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/valueflow/usher"
+	"github.com/valueflow/usher/internal/passes"
 )
 
 const facadeSrc = `
@@ -183,5 +184,24 @@ int main() { return 0; }`)
 	}
 	if len(res.ShadowWarnings) != 0 {
 		t.Errorf("warnings from dead code: %v", res.ShadowWarnings)
+	}
+}
+
+func TestParseConfigAndLevel(t *testing.T) {
+	for _, name := range []string{"usher", "Usher", "MSan", "msan", "UsherTL+AT", "tlat", "optiii", "Usher+OptIII"} {
+		if _, err := usher.ParseConfig(name); err != nil {
+			t.Errorf("ParseConfig(%q): %v", name, err)
+		}
+	}
+	if _, err := usher.ParseConfig("turbo"); err == nil {
+		t.Error("ParseConfig accepted an unknown name")
+	}
+	for _, name := range []string{"O0", "o0+im", "O1", "O2"} {
+		if _, err := passes.ParseLevel(name); err != nil {
+			t.Errorf("ParseLevel(%q): %v", name, err)
+		}
+	}
+	if _, err := passes.ParseLevel("O9"); err == nil {
+		t.Error("ParseLevel accepted an unknown level")
 	}
 }
