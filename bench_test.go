@@ -19,6 +19,7 @@ import (
 	"github.com/valueflow/usher/internal/memssa"
 	"github.com/valueflow/usher/internal/passes"
 	"github.com/valueflow/usher/internal/pointer"
+	"github.com/valueflow/usher/internal/pool"
 	"github.com/valueflow/usher/internal/vfg"
 	"github.com/valueflow/usher/internal/workload"
 )
@@ -33,7 +34,7 @@ func mediumProfile() workload.Profile {
 // suite.
 func BenchmarkTable1Stats(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Table1()
+		rows, err := bench.Table1(pool.DefaultParallelism(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -48,7 +49,7 @@ func BenchmarkTable1Stats(b *testing.B) {
 // reported as custom metrics.
 func BenchmarkFig10Overhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Fig10(passes.O0IM)
+		rows, err := bench.Fig10(workload.Profiles, passes.O0IM, pool.DefaultParallelism(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -66,7 +67,7 @@ func BenchmarkFig10PerBenchmark(b *testing.B) {
 	for _, p := range workload.Profiles {
 		p := p
 		b.Run(p.Name, func(b *testing.B) {
-			c, err := bench.Prepare(p, passes.O0IM)
+			c, err := bench.Prepare(p, passes.O0IM, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -86,7 +87,7 @@ func BenchmarkFig10PerBenchmark(b *testing.B) {
 // BenchmarkFig11StaticCounts regenerates Figure 11.
 func BenchmarkFig11StaticCounts(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Fig11()
+		rows, err := bench.Fig11(pool.DefaultParallelism(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -106,7 +107,7 @@ func BenchmarkOptLevelO2(b *testing.B) { benchOptLevel(b, passes.O2) }
 
 func benchOptLevel(b *testing.B, level passes.Level) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Fig10(level)
+		rows, err := bench.Fig10(workload.Profiles, level, pool.DefaultParallelism(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -122,7 +123,7 @@ func benchOptLevel(b *testing.B, level passes.Level) {
 // BenchmarkAnalysisCost measures the whole static pipeline (§4.4: the
 // paper reports under 10 s and 600 MB on average for SPEC).
 func BenchmarkAnalysisCost(b *testing.B) {
-	c, err := bench.Prepare(mediumProfile(), passes.O0IM)
+	c, err := bench.Prepare(mediumProfile(), passes.O0IM, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func BenchmarkAnalysisCost(b *testing.B) {
 // Phase micro-benchmarks.
 
 func BenchmarkPointerAnalysis(b *testing.B) {
-	c, err := bench.Prepare(mediumProfile(), passes.O0IM)
+	c, err := bench.Prepare(mediumProfile(), passes.O0IM, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func BenchmarkPointerAnalysis(b *testing.B) {
 }
 
 func BenchmarkMemorySSA(b *testing.B) {
-	c, err := bench.Prepare(mediumProfile(), passes.O0IM)
+	c, err := bench.Prepare(mediumProfile(), passes.O0IM, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func BenchmarkMemorySSA(b *testing.B) {
 }
 
 func BenchmarkVFGBuildAndResolve(b *testing.B) {
-	c, err := bench.Prepare(mediumProfile(), passes.O0IM)
+	c, err := bench.Prepare(mediumProfile(), passes.O0IM, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func BenchmarkVFGBuildAndResolve(b *testing.B) {
 }
 
 func BenchmarkInterpNative(b *testing.B) {
-	c, err := bench.Prepare(mediumProfile(), passes.O0IM)
+	c, err := bench.Prepare(mediumProfile(), passes.O0IM, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func BenchmarkInterpMSan(b *testing.B) { benchInterp(b, usher.ConfigMSan) }
 func BenchmarkInterpUsher(b *testing.B) { benchInterp(b, usher.ConfigUsherFull) }
 
 func benchInterp(b *testing.B, cfg usher.Config) {
-	c, err := bench.Prepare(mediumProfile(), passes.O0IM)
+	c, err := bench.Prepare(mediumProfile(), passes.O0IM, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func benchInterp(b *testing.B, cfg usher.Config) {
 // BenchmarkAblationSemiStrong measures the static savings attributable to
 // semi-strong updates alone.
 func BenchmarkAblationSemiStrong(b *testing.B) {
-	c, err := bench.Prepare(mediumProfile(), passes.O0IM)
+	c, err := bench.Prepare(mediumProfile(), passes.O0IM, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -32,6 +32,7 @@ import (
 	"github.com/valueflow/usher/internal/bench"
 	"github.com/valueflow/usher/internal/passes"
 	"github.com/valueflow/usher/internal/stats"
+	"github.com/valueflow/usher/internal/workload"
 )
 
 func main() {
@@ -89,7 +90,7 @@ func main() {
 	if *all || *table1 {
 		fmt.Println("=== Table 1: benchmark statistics under O0+IM ===")
 		start := time.Now()
-		rows, err := bench.Table1Observed(cf.Parallel, sc)
+		rows, err := bench.Table1(cf.Parallel, sc)
 		if err != nil {
 			fail(err)
 		}
@@ -101,7 +102,7 @@ func main() {
 	if *all || *fig10 {
 		fmt.Println("=== Figure 10: execution-time slowdowns (O0+IM) ===")
 		start := time.Now()
-		rows, err := bench.Fig10ParallelObserved(passes.O0IM, cf.Parallel, sc)
+		rows, err := bench.Fig10(workload.Profiles, passes.O0IM, cf.Parallel, sc)
 		if err != nil {
 			fail(err)
 		}
@@ -113,7 +114,7 @@ func main() {
 	if *all || *fig11 {
 		fmt.Println("=== Figure 11: static instrumentation counts ===")
 		start := time.Now()
-		rows, err := bench.Fig11Observed(cf.Parallel, sc)
+		rows, err := bench.Fig11(cf.Parallel, sc)
 		if err != nil {
 			fail(err)
 		}
@@ -125,7 +126,7 @@ func main() {
 	if *all || *ablations {
 		fmt.Println("=== Ablations: context sensitivity, semi-strong updates, heap cloning, node merging ===")
 		start := time.Now()
-		rows, err := bench.AblationsParallel(cf.Parallel)
+		rows, err := bench.Ablations(workload.Profiles, cf.Parallel)
 		if err != nil {
 			fail(err)
 		}
@@ -138,7 +139,7 @@ func main() {
 		for _, level := range []passes.Level{passes.O1, passes.O2} {
 			fmt.Printf("=== Section 4.6: slowdowns under %s ===\n", level)
 			start := time.Now()
-			rows, err := bench.Fig10ParallelObserved(level, cf.Parallel, sc)
+			rows, err := bench.Fig10(workload.Profiles, level, cf.Parallel, sc)
 			if err != nil {
 				fail(err)
 			}

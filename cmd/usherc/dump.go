@@ -1,110 +1,88 @@
-// Command vfg-dump prints the intermediate artifacts of the Usher
-// pipeline for a MiniC program: the SSA IR, points-to sets, memory SSA
-// annotations, and the value-flow graph with its resolved definedness
-// (text or Graphviz DOT).
-//
-// Usage:
-//
-//	vfg-dump [-ir] [-pts] [-memssa] [-vfg] [-dot] [-stats]
-//	         [-cpuprofile path] [-memprofile path] file.c
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
+	"slices"
 	"strings"
 
 	"github.com/valueflow/usher"
-	"github.com/valueflow/usher/internal/bench"
-	"github.com/valueflow/usher/internal/diag"
 	"github.com/valueflow/usher/internal/ir"
 	"github.com/valueflow/usher/internal/memssa"
 	"github.com/valueflow/usher/internal/passes"
-	"github.com/valueflow/usher/internal/pipeline"
 	"github.com/valueflow/usher/internal/pointer"
 	"github.com/valueflow/usher/internal/stats"
 	"github.com/valueflow/usher/internal/vfg"
 )
 
-func main() {
-	showIR := flag.Bool("ir", false, "print the SSA IR")
-	showPts := flag.Bool("pts", false, "print points-to sets of pointer operands")
-	showMem := flag.Bool("memssa", false, "print mu/chi annotations")
-	showVFG := flag.Bool("vfg", false, "print the VFG with definedness states")
-	dot := flag.Bool("dot", false, "emit the VFG as Graphviz DOT")
-	showStats := flag.Bool("stats", false, "print per-pipeline-pass stats (wall time, allocs, work counters)")
-	pf := bench.RegisterProfileFlags(flag.CommandLine)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: vfg-dump [flags] file.c")
-		os.Exit(1)
+// dumpKinds lists what -dump prints, in the order it prints them.
+const dumpKinds = "src,ir,pts,memssa,vfg,dot"
+
+// dumper prints the artifacts -dump asked for. With more than one kind
+// requested each gets a header; a single kind prints nothing but the
+// artifact, so -dump src is MiniC and -dump dot is Graphviz DOT.
+type dumper map[string]bool
+
+// parseDump parses -dump's comma-separated list of dumpKinds.
+func parseDump(list string) (dumper, error) {
+	d := dumper{}
+	if list == "" {
+		return d, nil
 	}
-	stopProfiles, err := pf.Start()
-	if err != nil {
-		fatal(err)
-	}
-	defer func() {
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintln(os.Stderr, "vfg-dump: profiles:", err)
+	for _, k := range strings.Split(list, ",") {
+		k = strings.TrimSpace(k)
+		if !slices.Contains(strings.Split(dumpKinds, ","), k) {
+			return nil, fmt.Errorf("unknown -dump kind %q (want a comma-separated list of %s)", k, dumpKinds)
 		}
-	}()
-	if !*showIR && !*showPts && !*showMem && !*showVFG && !*dot {
-		*showIR, *showVFG = true, true
+		d[k] = true
 	}
-	var sc *stats.Collector
-	if *showStats {
-		sc = stats.New()
-		defer func() {
-			fmt.Println("=== pipeline pass stats ===")
-			stats.Write(os.Stdout, sc.Snapshot())
-		}()
+	return d, nil
+}
+
+// wantsAny reports whether any of kinds was requested.
+func (d dumper) wantsAny(kinds ...string) bool {
+	return slices.ContainsFunc(kinds, func(k string) bool { return d[k] })
+}
+
+// section prints one requested artifact.
+func (d dumper) section(kind, title string, body func()) {
+	if !d[kind] {
+		return
 	}
-	data, err := os.ReadFile(flag.Arg(0))
-	if err != nil {
-		fatal(err)
+	if len(d) > 1 {
+		fmt.Printf("=== %s ===\n", title)
 	}
-	prog, err := pipeline.Compile(flag.Arg(0), string(data), sc)
-	if err != nil {
-		fatal(err)
+	body()
+	if len(d) > 1 {
+		fmt.Println()
 	}
-	if err := pipeline.ApplyLevel(prog, passes.O0IM, sc); err != nil {
-		fatal(err)
+}
+
+// program prints the requested artifacts of the compiled program: its
+// IR at level, then what the analysis computes from it.
+func (d dumper) program(prog *ir.Program, level passes.Level, sc *stats.Collector) error {
+	d.section("ir", fmt.Sprintf("IR (%s)", level), func() { fmt.Print(ir.Print(prog)) })
+	if !d.wantsAny("pts", "memssa", "vfg", "dot") {
+		return nil
 	}
 	// Build the shared artifacts through a Session so an internal panic in
 	// any analysis stage surfaces as a rendered error, not a crash.
 	s := usher.NewSessionObserved(prog, sc)
 	pa, mem, err := s.Base()
 	if err != nil {
-		fatal(err)
+		return err
+	}
+	d.section("pts", "points-to sets", func() { dumpPts(prog, pa) })
+	d.section("memssa", "memory SSA", func() { dumpMemSSA(prog, mem) })
+	if !d.wantsAny("vfg", "dot") {
+		return nil
 	}
 	g, gm, err := s.Graph(false)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-
-	if *showIR {
-		fmt.Println("=== IR (O0+IM) ===")
-		fmt.Print(ir.Print(prog))
-		fmt.Println()
-	}
-	if *showPts {
-		fmt.Println("=== points-to sets ===")
-		dumpPts(prog, pa)
-		fmt.Println()
-	}
-	if *showMem {
-		fmt.Println("=== memory SSA ===")
-		dumpMemSSA(prog, mem)
-		fmt.Println()
-	}
-	if *showVFG {
-		fmt.Println("=== value-flow graph ===")
-		dumpVFG(g, gm)
-	}
-	if *dot {
-		dumpDOT(g, gm)
-	}
+	d.section("vfg", "value-flow graph", func() { dumpVFG(g, gm) })
+	d.section("dot", "value-flow graph (DOT)", func() { dumpDOT(g, gm) })
+	return nil
 }
 
 func dumpPts(prog *ir.Program, pa *pointer.Result) {
@@ -225,17 +203,4 @@ func dumpDOT(g *vfg.Graph, gm *vfg.Gamma) {
 		}
 	}
 	fmt.Println("}")
-}
-
-// fatal renders err on stderr and exits non-zero. Structured diagnostics
-// (see internal/diag) are printed one per line in source order.
-func fatal(err error) {
-	if ds := diag.All(err); len(ds) > 0 {
-		for _, d := range ds {
-			fmt.Fprintln(os.Stderr, "vfg-dump:", d)
-		}
-	} else {
-		fmt.Fprintln(os.Stderr, "vfg-dump:", err)
-	}
-	os.Exit(1)
 }

@@ -1,9 +1,17 @@
 // Command usherc compiles, analyzes and runs MiniC programs under the
-// Usher instrumentation configurations.
+// Usher instrumentation configurations, or prints the pipeline's
+// intermediate artifacts.
 //
 // Usage:
 //
 //	usherc [flags] file.c [more.c ...]
+//
+// -dump takes a comma-separated list of src (the MiniC source, flattened
+// for a multi-file build), ir (the SSA IR at -level), pts (the points-to
+// sets of pointer operands), memssa (the mu/chi annotations), vfg (the
+// full value-flow graph with each node's definedness) and dot (the same
+// graph as Graphviz DOT), prints them in that order and exits. One kind
+// prints nothing else; several each get a header.
 //
 // With more than one file, each file is a module named after its base
 // name (extension stripped) and may reference the others with
@@ -16,7 +24,9 @@
 //	usherc prog.c                         # analyze with Usher, run, report
 //	usherc -config msan prog.c            # full instrumentation instead
 //	usherc -compare prog.c                # all five configurations side by side
-//	usherc -level O2 -dump-ir prog.c      # optimize and print the IR
+//	usherc -level O2 -dump ir prog.c      # optimize and print the IR
+//	usherc -dump vfg prog.c               # the value-flow graph and Γ
+//	usherc -dump dot prog.c | dot -Tsvg   # the same graph, drawn
 //	usherc main.c lib.c util.c            # multi-file module build
 //	usherc -workload parser               # use a generated benchmark as input
 //	usherc -stats prog.c                  # per-pipeline-pass timings and counters
@@ -51,13 +61,18 @@ func main() {
 	configName := flag.String("config", "usher", "configuration: msan, tl, tlat, opti, usher, optiii, or a plan name such as UsherTL+AT")
 	levelName := flag.String("level", "O0+IM", "optimization level: O0, O0+IM, O1, O2")
 	compare := flag.Bool("compare", false, "run every configuration and compare")
-	dumpIR := flag.Bool("dump-ir", false, "print the optimized IR and exit")
-	dumpSrc := flag.Bool("dump-src", false, "print the (possibly generated) MiniC source and exit")
+	dumpList := flag.String("dump", "", "print artifacts and exit: a comma-separated list of "+dumpKinds)
 	noRun := flag.Bool("no-run", false, "analyze only; print static statistics")
 	workloadName := flag.String("workload", "", "use a generated benchmark instead of a file")
 	showStats := flag.Bool("stats", false, "print per-pipeline-pass stats (wall time, allocs, work counters)")
 	pf := bench.RegisterProfileFlags(flag.CommandLine)
 	flag.Parse()
+	dump, err := parseDump(*dumpList)
+	if err != nil {
+		fatal(err)
+	}
+	// Only the source needs no compiled program.
+	srcOnly := len(dump) == 1 && dump["src"]
 
 	// Registered first so that it runs last, after the deferred stats
 	// report and profile writers.
@@ -95,13 +110,15 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *dumpSrc {
+		if dump["src"] {
 			flat, err := module.Flatten(files)
 			if err != nil {
 				fatal(err)
 			}
-			fmt.Print(flat)
-			return
+			dump.section("src", "source", func() { fmt.Print(flat) })
+			if srcOnly {
+				return
+			}
 		}
 		res, err := module.Build(files, module.Options{Stats: sc, Parallel: pool.DefaultParallelism()})
 		if err != nil {
@@ -113,8 +130,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *dumpSrc {
-			fmt.Print(src)
+		dump.section("src", "source", func() { fmt.Print(src) })
+		if srcOnly {
 			return
 		}
 		prog, err = pipeline.Compile(file, src, sc)
@@ -129,8 +146,10 @@ func main() {
 	if err := pipeline.ApplyLevel(prog, level, sc); err != nil {
 		fatal(err)
 	}
-	if *dumpIR {
-		fmt.Print(ir.Print(prog))
+	if len(dump) > 0 {
+		if err := dump.program(prog, level, sc); err != nil {
+			fatal(err)
+		}
 		return
 	}
 	if *compare {

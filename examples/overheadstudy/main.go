@@ -23,7 +23,7 @@ func main() {
 	if !ok {
 		log.Fatalf("unknown workload %q (try gzip, mcf, parser, ...)", name)
 	}
-	c, err := bench.Prepare(p, passes.O0IM)
+	c, err := bench.Prepare(p, passes.O0IM, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"github.com/valueflow/usher/internal/memssa"
 	"github.com/valueflow/usher/internal/pointer"
 	"github.com/valueflow/usher/internal/vfg"
+	"github.com/valueflow/usher/internal/vfgopt"
 )
 
 const src = `
@@ -49,8 +50,8 @@ func main() {
 		{"ablation: semi-strong updates disabled", vfg.Options{NoSemiStrong: true}},
 	} {
 		g := vfg.Build(prog, pa, mem, variant.opts)
-		gm := vfg.Resolve(g)
-		res := instrument.Guided("demo", g, gm, instrument.GuidedOptions{OptI: true, OptII: true})
+		gm, redirected := vfgopt.RedundantCheckElim(g, vfg.Resolve(g))
+		res := instrument.Emit("demo", g, gm, redirected, instrument.GuidedOptions{OptI: true})
 		st := res.Plan.StaticStats()
 		fmt.Printf("%s:\n", variant.name)
 		fmt.Printf("  semi-strong cuts: %d\n", g.SemiStrongCuts)

@@ -6,11 +6,8 @@ import (
 	"text/tabwriter"
 
 	"github.com/valueflow/usher"
-	"github.com/valueflow/usher/internal/instrument"
 	"github.com/valueflow/usher/internal/ir"
-	"github.com/valueflow/usher/internal/memssa"
 	"github.com/valueflow/usher/internal/passes"
-	"github.com/valueflow/usher/internal/pointer"
 	"github.com/valueflow/usher/internal/pool"
 	"github.com/valueflow/usher/internal/ssa"
 	"github.com/valueflow/usher/internal/vfg"
@@ -34,20 +31,16 @@ type AblationRow struct {
 	// ChecksOptIII: static checks with the Opt III extension (dominated
 	// same-value check elimination) enabled on top of Usher.
 	ChecksOptIII int
-	// VFGNodes / MergedAway: graph size and nodes removed by
-	// access-equivalence merging.
+	// VFGNodes / MergedAway: graph size and the nodes access-equivalence
+	// merging would remove (resolution itself runs per node).
 	VFGNodes, MergedAway int
 }
 
-// Ablations measures every design-choice ablation over the suite with
-// the default parallelism.
-func Ablations() ([]AblationRow, error) { return AblationsParallel(pool.DefaultParallelism()) }
-
-// AblationsParallel runs the ablation study using up to parallel workers
+// Ablations measures every design-choice ablation over profiles (the
+// paper's suite is workload.Profiles), using up to parallel workers
 // across profiles. Each row builds its own graphs, so rows are fully
 // independent.
-func AblationsParallel(parallel int) ([]AblationRow, error) {
-	profiles := workload.Profiles
+func Ablations(profiles []workload.Profile, parallel int) ([]AblationRow, error) {
 	rows := make([]AblationRow, len(profiles))
 	err := pool.ForEach(parallel, len(profiles), func(i int) error {
 		row, err := ablationRow(profiles[i])
@@ -63,29 +56,26 @@ func AblationsParallel(parallel int) ([]AblationRow, error) {
 	return rows, nil
 }
 
-// AblationFor measures the ablations for a single named benchmark.
-func AblationFor(name string) (AblationRow, error) {
-	p, ok := workload.ByName(name)
-	if !ok {
-		return AblationRow{}, fmt.Errorf("unknown workload %q", name)
-	}
-	return ablationRow(p)
-}
-
 func ablationRow(p workload.Profile) (AblationRow, error) {
 	row := AblationRow{Name: p.Name}
 
-	// Baseline: full O0+IM pipeline.
-	c, err := Prepare(p, passes.O0IM)
+	// Baseline: the full O0+IM pipeline. One session computes its
+	// artifacts and the Usher and Usher+OptIII plans; only the ablated
+	// variants below are built by hand.
+	c, err := Prepare(p, passes.O0IM, nil)
 	if err != nil {
 		return row, err
 	}
-	pa := pointer.Analyze(c.Prog)
-	mem := memssa.Build(c.Prog, pa)
-	g := vfg.Build(c.Prog, pa, mem, vfg.Options{})
+	sess := usher.NewSession(c.Prog)
+	pa, mem, err := sess.Base()
+	if err != nil {
+		return row, err
+	}
+	g, cs, err := sess.Graph(false)
+	if err != nil {
+		return row, err
+	}
 	row.VFGNodes = len(g.Nodes)
-
-	cs := vfg.Resolve(g)
 	row.BottomCS = cs.BottomCount()
 	ci := vfg.ResolveWith(g, vfg.ResolveOptions{ContextInsensitive: true})
 	row.BottomCI = ci.BottomCount()
@@ -93,13 +83,18 @@ func ablationRow(p workload.Profile) (AblationRow, error) {
 	gNoSemi := vfg.Build(c.Prog, pa, mem, vfg.Options{NoSemiStrong: true})
 	row.BottomNoSemi = vfg.Resolve(gNoSemi).BottomCount()
 
-	eq := vfg.ComputeAccessEquivalence(g)
-	row.MergedAway = eq.Merged(g)
+	row.MergedAway = vfg.ComputeAccessEquivalence(g).Merged(g)
 
-	full := instrument.Guided("usher", g, cs, instrument.GuidedOptions{OptI: true, OptII: true})
-	row.ChecksFull = full.Plan.StaticStats().Checks
-	ext := instrument.Guided("usher+3", g, cs, instrument.GuidedOptions{OptI: true, OptII: true, OptIII: true})
-	row.ChecksOptIII = ext.Plan.StaticStats().Checks
+	full, err := sess.Analyze(usher.ConfigUsherFull)
+	if err != nil {
+		return row, err
+	}
+	row.ChecksFull = full.StaticStats().Checks
+	ext, err := sess.Analyze(usher.ConfigUsherOptIII)
+	if err != nil {
+		return row, err
+	}
+	row.ChecksOptIII = ext.StaticStats().Checks
 
 	// No heap cloning: recompile without allocation-wrapper inlining.
 	prog2, err := usher.Compile(p.Name+".c", c.Source)

@@ -63,14 +63,9 @@ type Compiled struct {
 	Level   passes.Level
 }
 
-// Prepare generates, compiles and optimizes one profile.
-func Prepare(p workload.Profile, level passes.Level) (*Compiled, error) {
-	return PrepareObserved(p, level, nil)
-}
-
-// PrepareObserved is Prepare with per-pass observability: the frontend
-// and scalar passes are recorded into sc (nil records nothing).
-func PrepareObserved(p workload.Profile, level passes.Level, sc *stats.Collector) (*Compiled, error) {
+// Prepare generates, compiles and optimizes one profile, recording the
+// frontend and scalar passes into sc (nil records nothing).
+func Prepare(p workload.Profile, level passes.Level, sc *stats.Collector) (*Compiled, error) {
 	src := workload.Generate(p)
 	prog, err := pipeline.Compile(p.Name+".c", src, sc)
 	if err != nil {
@@ -113,28 +108,18 @@ type Table1Row struct {
 }
 
 // Table1 computes the static statistics of every benchmark under O0+IM
-// with the default parallelism.
-func Table1() ([]Table1Row, error) { return Table1Parallel(pool.DefaultParallelism()) }
-
-// Table1Parallel computes Table 1 using up to parallel workers.
-// Generation, compilation and optimization run concurrently across
-// profiles; the measured analyses (the Time/Mem columns) then run
-// serially so per-benchmark allocation and wall-clock attribution stay
-// clean. All reported numbers are identical for any parallelism.
-func Table1Parallel(parallel int) ([]Table1Row, error) {
-	return Table1Observed(parallel, nil)
-}
-
-// Table1Observed is Table1Parallel with per-pass observability into sc.
-// Compilation passes are recorded from the (parallel) preparation stage;
-// the analysis passes are recorded from the serial measurement stage. The
-// aggregated counter stats are identical for any parallelism; the timing
-// and allocation fields are measurements and are not.
-func Table1Observed(parallel int, sc *stats.Collector) ([]Table1Row, error) {
+// using up to parallel workers, recording every pass into sc (nil
+// records nothing). Generation, compilation and optimization run
+// concurrently across profiles; the measured analyses (the Time/Mem
+// columns) then run serially so per-benchmark allocation and wall-clock
+// attribution stay clean. All reported numbers and the aggregated
+// counter stats are identical for any parallelism; the timing and
+// allocation fields are measurements and are not.
+func Table1(parallel int, sc *stats.Collector) ([]Table1Row, error) {
 	profiles := workload.Profiles
 	compiled := make([]*Compiled, len(profiles))
 	err := pool.ForEach(parallel, len(profiles), func(i int) error {
-		c, err := PrepareObserved(profiles[i], passes.O0IM, sc)
+		c, err := Prepare(profiles[i], passes.O0IM, sc)
 		if err != nil {
 			return err
 		}
@@ -274,38 +259,18 @@ type OverheadRow struct {
 }
 
 // Fig10 measures the dynamic slowdown of every configuration on every
-// benchmark under the given optimization level (O0+IM for the paper's
-// Figure 10; O1/O2 for §4.6), with the default parallelism.
-func Fig10(level passes.Level) ([]OverheadRow, error) {
-	return Fig10Parallel(level, pool.DefaultParallelism())
-}
-
-// Fig10Parallel is Fig10 with an explicit worker bound, applied at two
-// levels: across workload profiles, and across configurations within a
-// profile (which share one analysis session, so the pointer analysis,
-// memory SSA and VFG of each program are built once, not once per
-// configuration). parallel <= 1 reproduces the serial driver exactly.
-func Fig10Parallel(level passes.Level, parallel int) ([]OverheadRow, error) {
-	return Fig10Profiles(workload.Profiles, level, parallel)
-}
-
-// Fig10ParallelObserved is Fig10Parallel with per-pass observability
-// into sc.
-func Fig10ParallelObserved(level passes.Level, parallel int, sc *stats.Collector) ([]OverheadRow, error) {
-	return Fig10Observed(workload.Profiles, level, parallel, sc)
-}
-
-// Fig10Profiles measures the given profiles only (the full suite for the
-// paper's figure; subsets for tests).
-func Fig10Profiles(profiles []workload.Profile, level passes.Level, parallel int) ([]OverheadRow, error) {
-	return Fig10Observed(profiles, level, parallel, nil)
-}
-
-// Fig10Observed is Fig10Profiles with per-pass observability into sc.
-func Fig10Observed(profiles []workload.Profile, level passes.Level, parallel int, sc *stats.Collector) ([]OverheadRow, error) {
+// given profile (workload.Profiles for the paper's figure) under the
+// given optimization level (O0+IM for the paper's Figure 10; O1/O2 for
+// §4.6), recording every pass into sc (nil records nothing). The worker
+// bound applies at two levels: across profiles, and across
+// configurations within a profile (which share one analysis session, so
+// the pointer analysis, memory SSA and VFG of each program are built
+// once, not once per configuration). parallel <= 1 reproduces the serial
+// driver exactly.
+func Fig10(profiles []workload.Profile, level passes.Level, parallel int, sc *stats.Collector) ([]OverheadRow, error) {
 	rows := make([]OverheadRow, len(profiles))
 	err := pool.ForEach(parallel, len(profiles), func(i int) error {
-		c, err := PrepareObserved(profiles[i], level, sc)
+		c, err := Prepare(profiles[i], level, sc)
 		if err != nil {
 			return err
 		}
@@ -375,23 +340,15 @@ type StaticRow struct {
 	ChecksPct []float64
 }
 
-// Fig11 computes the static instrumentation counts under O0+IM with the
-// default parallelism.
-func Fig11() ([]StaticRow, error) { return Fig11Parallel(pool.DefaultParallelism()) }
-
-// Fig11Parallel computes Figure 11 using up to parallel workers across
-// profiles and across configurations within a profile (per-profile
-// analysis sessions share the config-invariant artifacts).
-func Fig11Parallel(parallel int) ([]StaticRow, error) {
-	return Fig11Observed(parallel, nil)
-}
-
-// Fig11Observed is Fig11Parallel with per-pass observability into sc.
-func Fig11Observed(parallel int, sc *stats.Collector) ([]StaticRow, error) {
+// Fig11 computes the static instrumentation counts under O0+IM using up
+// to parallel workers across profiles and across configurations within a
+// profile (per-profile analysis sessions share the config-invariant
+// artifacts), recording every pass into sc (nil records nothing).
+func Fig11(parallel int, sc *stats.Collector) ([]StaticRow, error) {
 	profiles := workload.Profiles
 	rows := make([]StaticRow, len(profiles))
 	err := pool.ForEach(parallel, len(profiles), func(i int) error {
-		c, err := PrepareObserved(profiles[i], passes.O0IM, sc)
+		c, err := Prepare(profiles[i], passes.O0IM, sc)
 		if err != nil {
 			return err
 		}

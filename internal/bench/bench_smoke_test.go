@@ -7,6 +7,7 @@ import (
 	"github.com/valueflow/usher"
 	"github.com/valueflow/usher/internal/bench"
 	"github.com/valueflow/usher/internal/passes"
+	"github.com/valueflow/usher/internal/pool"
 	"github.com/valueflow/usher/internal/workload"
 )
 
@@ -16,7 +17,7 @@ func prepareOne(t *testing.T, name string) *bench.Compiled {
 	if !ok {
 		t.Fatalf("no workload %s", name)
 	}
-	c, err := bench.Prepare(p, passes.O0IM)
+	c, err := bench.Prepare(p, passes.O0IM, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestFig10ShapeOnSubset(t *testing.T) {
 
 func TestTable1RowSanity(t *testing.T) {
 	c := prepareOne(t, "mcf")
-	rows, err := bench.Table1()
+	rows, err := bench.Table1(pool.DefaultParallelism(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +133,15 @@ func TestAverages(t *testing.T) {
 }
 
 func TestAblationRow(t *testing.T) {
-	row, err := bench.AblationFor("mcf")
+	p, ok := workload.ByName("mcf")
+	if !ok {
+		t.Fatal("no workload mcf")
+	}
+	rows, err := bench.Ablations([]workload.Profile{p}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	row := rows[0]
 	if row.BottomCI < row.BottomCS {
 		t.Errorf("context-insensitive ⊥ %d below sensitive %d", row.BottomCI, row.BottomCS)
 	}
@@ -156,7 +162,7 @@ func TestAblationRow(t *testing.T) {
 }
 
 func TestFig11OnSuiteSubsetMonotone(t *testing.T) {
-	rows, err := bench.Fig11()
+	rows, err := bench.Fig11(pool.DefaultParallelism(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,8 +63,8 @@ type ProfileFlags struct {
 }
 
 // RegisterProfileFlags registers -cpuprofile and -memprofile on fs.
-// Binaries that do not take the full CommonFlags set (usherc, usherd,
-// vfg-dump) call this directly.
+// Binaries that do not take the full CommonFlags set (usherc, usherd)
+// call this directly.
 func RegisterProfileFlags(fs *flag.FlagSet) *ProfileFlags {
 	pf := &ProfileFlags{}
 	fs.StringVar(&pf.CPUProfile, "cpuprofile", "", "write a CPU profile to this path")

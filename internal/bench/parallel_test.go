@@ -29,11 +29,11 @@ func subset(t *testing.T, names ...string) []workload.Profile {
 
 func TestFig10ParallelMatchesSerial(t *testing.T) {
 	profiles := subset(t, "mcf", "equake")
-	serial, err := bench.Fig10Profiles(profiles, passes.O0IM, 1)
+	serial, err := bench.Fig10(profiles, passes.O0IM, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := bench.Fig10Profiles(profiles, passes.O0IM, 4)
+	par, err := bench.Fig10(profiles, passes.O0IM, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +53,11 @@ func TestFig10ParallelMatchesSerial(t *testing.T) {
 }
 
 func TestTable1ParallelMatchesSerial(t *testing.T) {
-	serial, err := bench.Table1Parallel(1)
+	serial, err := bench.Table1(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := bench.Table1Parallel(4)
+	par, err := bench.Table1(4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +75,11 @@ func TestTable1ParallelMatchesSerial(t *testing.T) {
 }
 
 func TestFig11ParallelMatchesSerial(t *testing.T) {
-	serial, err := bench.Fig11Parallel(1)
+	serial, err := bench.Fig11(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := bench.Fig11Parallel(4)
+	par, err := bench.Fig11(4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +89,11 @@ func TestFig11ParallelMatchesSerial(t *testing.T) {
 }
 
 func TestAblationsParallelMatchesSerial(t *testing.T) {
-	serial, err := bench.AblationsParallel(1)
+	serial, err := bench.Ablations(workload.Profiles, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := bench.AblationsParallel(4)
+	par, err := bench.Ablations(workload.Profiles, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

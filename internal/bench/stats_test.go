@@ -18,11 +18,11 @@ func TestFig10StatsDeterministicAcrossParallel(t *testing.T) {
 	profiles := subset(t, "mcf", "equake")
 
 	serial := stats.New()
-	if _, err := bench.Fig10Observed(profiles, passes.O0IM, 1, serial); err != nil {
+	if _, err := bench.Fig10(profiles, passes.O0IM, 1, serial); err != nil {
 		t.Fatal(err)
 	}
 	par := stats.New()
-	if _, err := bench.Fig10Observed(profiles, passes.O0IM, 4, par); err != nil {
+	if _, err := bench.Fig10(profiles, passes.O0IM, 4, par); err != nil {
 		t.Fatal(err)
 	}
 
@@ -38,11 +38,11 @@ func TestFig10StatsDeterministicAcrossParallel(t *testing.T) {
 
 func TestTable1StatsDeterministicAcrossParallel(t *testing.T) {
 	serial := stats.New()
-	if _, err := bench.Table1Observed(1, serial); err != nil {
+	if _, err := bench.Table1(1, serial); err != nil {
 		t.Fatal(err)
 	}
 	par := stats.New()
-	if _, err := bench.Table1Observed(4, par); err != nil {
+	if _, err := bench.Table1(4, par); err != nil {
 		t.Fatal(err)
 	}
 	a := stats.Scrub(serial.Snapshot())
@@ -56,11 +56,11 @@ func TestTable1StatsDeterministicAcrossParallel(t *testing.T) {
 // must not change any reported number.
 func TestObservedMatchesUnobserved(t *testing.T) {
 	profiles := subset(t, "mcf")
-	plain, err := bench.Fig10Profiles(profiles, passes.O0IM, 1)
+	plain, err := bench.Fig10(profiles, passes.O0IM, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	observed, err := bench.Fig10Observed(profiles, passes.O0IM, 1, stats.New())
+	observed, err := bench.Fig10(profiles, passes.O0IM, 1, stats.New())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,12 +26,11 @@ import (
 
 // LRU is the byte-budgeted map. The zero value is not usable; call New.
 type LRU[V any] struct {
-	mu      sync.Mutex
-	budget  int64
-	ll      *list.List // front = most recently used
-	items   map[string]*list.Element
-	bytes   int64
-	onEvict func(key string, value V)
+	mu     sync.Mutex
+	budget int64
+	ll     *list.List // front = most recently used
+	items  map[string]*list.Element
+	bytes  int64
 
 	hits, misses, evictions, rejected int64
 }
@@ -68,13 +67,6 @@ func New[V any](budget int64) *LRU[V] {
 	}
 }
 
-// SetOnEvict installs a callback invoked for every entry that leaves
-// the cache involuntarily: budget evictions, same-key replacements (the
-// displaced old value), and stale entries dropped by a rejected
-// oversize replacement. It runs under the cache lock, so it must not
-// call back into the cache. Call before the cache is shared.
-func (c *LRU[V]) SetOnEvict(fn func(key string, value V)) { c.onEvict = fn }
-
 // Get returns the entry for key, marking it most recently used.
 func (c *LRU[V]) Get(key string) (V, bool) {
 	c.mu.Lock()
@@ -85,18 +77,6 @@ func (c *LRU[V]) Get(key string) (V, bool) {
 		return el.Value.(*lruItem[V]).value, true
 	}
 	c.misses++
-	var zero V
-	return zero, false
-}
-
-// Peek returns the entry without touching recency or the hit/miss
-// counters (used by tests and introspection endpoints).
-func (c *LRU[V]) Peek(key string) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		return el.Value.(*lruItem[V]).value, true
-	}
 	var zero V
 	return zero, false
 }
@@ -122,16 +102,11 @@ func (c *LRU[V]) Put(key string, value V, size int64) bool {
 	}
 	if el, ok := c.items[key]; ok {
 		it := el.Value.(*lruItem[V])
-		old := it.value
 		// Replacement: the budget reflects the new size alone, not the
-		// sum, and the displaced value gets the eviction callback so
-		// resource-holding values are not silently leaked.
+		// sum.
 		c.bytes += size - it.size
 		it.value, it.size = value, size
 		c.ll.MoveToFront(el)
-		if c.onEvict != nil {
-			c.onEvict(key, old)
-		}
 	} else {
 		el := c.ll.PushFront(&lruItem[V]{key: key, value: value, size: size})
 		c.items[key] = el
@@ -147,16 +122,13 @@ func (c *LRU[V]) Put(key string, value V, size int64) bool {
 	return true
 }
 
-// evict removes el and fires the callback. Caller holds c.mu.
+// evict removes el and counts an eviction. Caller holds c.mu.
 func (c *LRU[V]) evict(el *list.Element) {
 	it := el.Value.(*lruItem[V])
 	c.ll.Remove(el)
 	delete(c.items, it.key)
 	c.bytes -= it.size
 	c.evictions++
-	if c.onEvict != nil {
-		c.onEvict(it.key, it.value)
-	}
 }
 
 // Remove deletes the entry for key without counting an eviction.
@@ -184,20 +156,6 @@ func (c *LRU[V]) Range(f func(key string, value V)) {
 		it := el.Value.(*lruItem[V])
 		f(it.key, it.value)
 	}
-}
-
-// Len returns the number of resident entries.
-func (c *LRU[V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items)
-}
-
-// Bytes returns the accounted size of the resident entries.
-func (c *LRU[V]) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
 }
 
 // Stats returns the current counters.

@@ -2,39 +2,44 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
 
+// resident lists the resident keys, most recently used first, without
+// touching recency or the hit/miss counters.
+func resident[V any](c *LRU[V]) []string {
+	var keys []string
+	c.Range(func(k string, _ V) { keys = append(keys, k) })
+	return keys
+}
+
 func TestLRUBudgetEviction(t *testing.T) {
-	var evicted []string
 	c := New[int](100)
-	c.SetOnEvict(func(k string, _ int) { evicted = append(evicted, k) })
 	for i := 0; i < 4; i++ {
 		if !c.Put(fmt.Sprintf("k%d", i), i, 30) {
 			t.Fatalf("k%d rejected", i)
 		}
 	}
 	// 4×30 = 120 > 100: the least-recently-used entry (k0) must be gone.
-	if c.Bytes() != 90 || c.Len() != 3 {
-		t.Fatalf("bytes=%d len=%d, want 90/3", c.Bytes(), c.Len())
+	if st := c.Stats(); st.Bytes != 90 || st.Entries != 3 || st.Evictions != 1 {
+		t.Fatalf("bytes=%d entries=%d evictions=%d, want 90/3/1", st.Bytes, st.Entries, st.Evictions)
 	}
-	if _, ok := c.Get("k0"); ok {
-		t.Error("k0 survived past the budget")
-	}
-	if len(evicted) != 1 || evicted[0] != "k0" {
-		t.Errorf("evicted %v, want [k0]", evicted)
+	if keys := resident(c); slices.Contains(keys, "k0") {
+		t.Errorf("resident %v: k0 survived past the budget", keys)
 	}
 	// Touching k1 protects it from the next eviction round.
 	if _, ok := c.Get("k1"); !ok {
 		t.Fatal("k1 missing")
 	}
 	c.Put("k4", 4, 30)
-	if _, ok := c.Peek("k2"); ok {
-		t.Error("k2 survived; LRU order ignored the Get(k1) touch")
+	keys := resident(c)
+	if slices.Contains(keys, "k2") {
+		t.Errorf("resident %v: k2 survived; LRU order ignored the Get(k1) touch", keys)
 	}
-	if _, ok := c.Peek("k1"); !ok {
-		t.Error("recently used k1 was evicted")
+	if !slices.Contains(keys, "k1") {
+		t.Errorf("resident %v: recently used k1 was evicted", keys)
 	}
 }
 
@@ -42,8 +47,8 @@ func TestLRUReplaceAdjustsSize(t *testing.T) {
 	c := New[string](100)
 	c.Put("a", "v1", 40)
 	c.Put("a", "v2", 70)
-	if c.Bytes() != 70 || c.Len() != 1 {
-		t.Fatalf("bytes=%d len=%d after replace, want 70/1", c.Bytes(), c.Len())
+	if st := c.Stats(); st.Bytes != 70 || st.Entries != 1 || st.Evictions != 0 {
+		t.Fatalf("bytes=%d entries=%d evictions=%d after replace, want 70/1/0", st.Bytes, st.Entries, st.Evictions)
 	}
 	if v, _ := c.Get("a"); v != "v2" {
 		t.Fatalf("value = %q, want v2", v)
@@ -61,12 +66,12 @@ func TestLRUOversizeRejected(t *testing.T) {
 	}
 	// A rejected replacement must also clear the stale entry it replaces.
 	c.Put("small", 3, 51)
-	if _, ok := c.Peek("small"); ok {
-		t.Error("stale entry survived a size-rejected replacement")
+	if keys := resident(c); len(keys) != 0 {
+		t.Errorf("resident %v: stale entry survived a size-rejected replacement", keys)
 	}
 	st := c.Stats()
-	if st.Rejected != 2 {
-		t.Errorf("rejected = %d, want 2", st.Rejected)
+	if st.Rejected != 2 || st.Bytes != 0 {
+		t.Errorf("rejected = %d, bytes = %d, want 2, 0", st.Rejected, st.Bytes)
 	}
 }
 
@@ -120,13 +125,8 @@ func TestLRURangeOrder(t *testing.T) {
 	c.Put("b", 2, 10)
 	c.Put("c", 3, 10)
 	c.Get("a") // a becomes most recently used
-	var order []string
-	c.Range(func(k string, _ int) { order = append(order, k) })
-	want := []string{"a", "c", "b"}
-	for i := range want {
-		if i >= len(order) || order[i] != want[i] {
-			t.Fatalf("Range order = %v, want %v", order, want)
-		}
+	if order, want := resident(c), []string{"a", "c", "b"}; !slices.Equal(order, want) {
+		t.Fatalf("Range order = %v, want %v", order, want)
 	}
 	// Range must not perturb recency or the hit/miss counters.
 	if st := c.Stats(); st.Hits != 1 || st.Misses != 0 {
@@ -158,7 +158,7 @@ func TestLRUConcurrent(t *testing.T) {
 	if st.Bytes > st.BudgetBytes {
 		t.Errorf("resident bytes %d exceed budget %d", st.Bytes, st.BudgetBytes)
 	}
-	if st.Entries != c.Len() {
-		t.Errorf("stats entries %d != Len %d", st.Entries, c.Len())
+	if n := len(resident(c)); st.Entries != n {
+		t.Errorf("stats entries %d != %d resident", st.Entries, n)
 	}
 }

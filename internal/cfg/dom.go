@@ -196,39 +196,3 @@ func containsBlock(s []*ir.Block, b *ir.Block) bool {
 	}
 	return false
 }
-
-// LoopInfo records, per block, whether it is inside any natural loop.
-type LoopInfo struct {
-	inLoop map[*ir.Block]bool
-}
-
-// FindLoops detects natural loops (back edges a->b where b dominates a)
-// and marks all blocks in their bodies.
-func FindLoops(fn *ir.Function, d *DomTree) *LoopInfo {
-	li := &LoopInfo{inLoop: make(map[*ir.Block]bool)}
-	for _, b := range d.rpo {
-		for _, s := range b.Succs {
-			if d.Dominates(s, b) {
-				// back edge b -> s; collect the loop body by walking
-				// predecessors from b until s.
-				li.inLoop[s] = true
-				stack := []*ir.Block{b}
-				for len(stack) > 0 {
-					n := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					if li.inLoop[n] {
-						continue
-					}
-					li.inLoop[n] = true
-					for _, p := range n.Preds {
-						stack = append(stack, p)
-					}
-				}
-			}
-		}
-	}
-	return li
-}
-
-// InLoop reports whether b lies inside any natural loop.
-func (li *LoopInfo) InLoop(b *ir.Block) bool { return li.inLoop[b] }

@@ -106,35 +106,6 @@ func TestRPOStartsAtEntry(t *testing.T) {
 	}
 }
 
-func TestLoopDetection(t *testing.T) {
-	irp := build(t, `
-int main() {
-  int s = 0;
-  for (int i = 0; i < 4; i++) { s += i; }
-  return s;
-}`)
-	fn := irp.FuncByName("main")
-	dom := cfg.NewDomTree(fn)
-	li := cfg.FindLoops(fn, dom)
-	var inLoop, outLoop int
-	for _, b := range fn.Blocks {
-		if li.InLoop(b) {
-			inLoop++
-		} else {
-			outLoop++
-		}
-	}
-	if inLoop < 3 {
-		t.Errorf("blocks in loop = %d, want >= 3 (cond, body, post)", inLoop)
-	}
-	if outLoop < 2 {
-		t.Errorf("blocks outside loop = %d, want >= 2 (entry, done)", outLoop)
-	}
-	if li.InLoop(fn.Entry()) {
-		t.Error("entry must not be in a loop")
-	}
-}
-
 func TestInstrDominates(t *testing.T) {
 	fn := diamond(t)
 	dom := cfg.NewDomTree(fn)
@@ -151,28 +122,5 @@ func TestInstrDominates(t *testing.T) {
 	}
 	if dom.InstrDominates(a, a) {
 		t.Error("instruction must not dominate itself")
-	}
-}
-
-func TestNestedLoops(t *testing.T) {
-	irp := build(t, `
-int main() {
-  int s = 0;
-  for (int i = 0; i < 3; i++) {
-    for (int j = 0; j < 3; j++) { s += j; }
-  }
-  return s;
-}`)
-	fn := irp.FuncByName("main")
-	dom := cfg.NewDomTree(fn)
-	li := cfg.FindLoops(fn, dom)
-	count := 0
-	for _, b := range fn.Blocks {
-		if li.InLoop(b) {
-			count++
-		}
-	}
-	if count < 6 {
-		t.Errorf("nested-loop blocks = %d, want >= 6", count)
 	}
 }

@@ -80,9 +80,9 @@ func Guard(phase Phase, errp *error) {
 }
 
 // MustNil panics when err is non-nil. It backs the Must* convenience
-// constructors (MustParse, MustCompile, MustAnalyze): calling those on
-// input that does not compile is a caller contract violation, which is
-// the one kind of panic the error contract permits.
+// constructors (MustCompile, MustAnalyze): calling those on input that
+// does not compile is a caller contract violation, which is the one kind
+// of panic the error contract permits.
 func MustNil(what string, err error) {
 	if err != nil {
 		panic(fmt.Sprintf("%s: %v", what, err))

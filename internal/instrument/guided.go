@@ -13,8 +13,6 @@ type GuidedOptions struct {
 	// OptI enables value-flow simplification over Must Flow-from
 	// Closures.
 	OptI bool
-	// OptII enables redundant check elimination (Algorithm 1).
-	OptII bool
 	// MemoryFull instruments every allocation and store unconditionally.
 	// This is required for the Usher_TL configuration, whose VFG does not
 	// model address-taken variables and therefore cannot prove any memory
@@ -46,25 +44,16 @@ type GuidedResult struct {
 	Demanded int
 }
 
-// Guided computes the paper's guided instrumentation (§3.4): starting
-// from the critical operations that may consume undefined values, it
-// walks the VFG backwards, emitting the Figure 7 items. ⊤ registers need
-// no shadow slots at all (their shadow is the constant T); ⊤ memory
-// versions produced by allocations and strong-update stores get a single
-// strong shadow write; everything else propagates.
-func Guided(name string, g *vfg.Graph, gm *vfg.Gamma, opts GuidedOptions) *GuidedResult {
-	redirected := 0
-	if opts.OptII {
-		gm, redirected = vfgopt.RedundantCheckElim(g, gm)
-	}
-	return Emit(name, g, gm, redirected, opts)
-}
-
-// Emit is the plan-emission pass proper: it instruments against an
-// already-resolved Γ. Opt II runs upstream (see internal/pipeline's optII
-// pass) and hands its re-resolved Γ plus redirect count here, so several
-// configurations can share one Opt II artifact; Guided wraps both steps
-// for callers outside the pipeline. opts.OptII is ignored.
+// Emit computes the paper's guided instrumentation (§3.4) against an
+// already-resolved Γ: starting from the critical operations that may
+// consume undefined values, it walks the VFG backwards, emitting the
+// Figure 7 items. ⊤ registers need no shadow slots at all (their shadow
+// is the constant T); ⊤ memory versions produced by allocations and
+// strong-update stores get a single strong shadow write; everything else
+// propagates. Opt II (Algorithm 1) runs before it: the caller passes
+// vfgopt.RedundantCheckElim's re-resolved Γ and redirect count, so
+// several configurations can share one Opt II result (internal/pipeline's
+// optII pass).
 func Emit(name string, g *vfg.Graph, gm *vfg.Gamma, redirected int, opts GuidedOptions) *GuidedResult {
 	res := &GuidedResult{Gamma: gm, Redirected: redirected}
 

@@ -5,7 +5,7 @@
 //
 //   - Full (this file) shadows every value and checks every critical
 //     operation, modelling MSan-style full instrumentation (§2.2).
-//   - Guided (guided.go) applies the paper's Figure 7 rules over a
+//   - Emit (guided.go) applies the paper's Figure 7 rules over a
 //     value-flow graph and its definedness resolution, emitting shadow
 //     work only where an undefined value may reach a critical operation.
 //

@@ -19,7 +19,7 @@ func guidedPlan(t *testing.T, src string) (*ir.Program, *instrument.Plan) {
 	mem := memssa.Build(prog, pa)
 	g := vfg.Build(prog, pa, mem, vfg.Options{})
 	gm := vfg.Resolve(g)
-	res := instrument.Guided("test", g, gm, instrument.GuidedOptions{})
+	res := instrument.Emit("test", g, gm, 0, instrument.GuidedOptions{})
 	return prog, res.Plan
 }
 

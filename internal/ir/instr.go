@@ -115,9 +115,6 @@ var opNames = [...]string{
 
 func (o Op) String() string { return opNames[o] }
 
-// IsComparison reports whether the operator is a comparison.
-func (o Op) IsComparison() bool { return o >= OpEq }
-
 // BinOp computes Dst = X op Y. This is the paper's `x := y ⊕ z`.
 type BinOp struct {
 	instrBase

@@ -183,9 +183,6 @@ func TestOpString(t *testing.T) {
 	if OpAdd.String() != "add" || OpGe.String() != "ge" {
 		t.Errorf("op names wrong: %s %s", OpAdd, OpGe)
 	}
-	if !OpEq.IsComparison() || OpAdd.IsComparison() {
-		t.Error("IsComparison wrong")
-	}
 }
 
 func TestBlockInsertAt(t *testing.T) {

@@ -64,14 +64,6 @@ func (p *Parser) run() {
 	p.parseProgram()
 }
 
-// MustParse is Parse for known-good sources (tests, generated workloads);
-// it panics on error (a caller contract violation, see package diag).
-func MustParse(file, src string) *ast.Program {
-	prog, err := Parse(file, src)
-	diag.MustNil("parse "+file, err)
-	return prog
-}
-
 // enter records one nesting level (statement, expression or declarator)
 // and aborts the parse when the depth limit is exceeded.
 func (p *Parser) enter() {

@@ -13,7 +13,7 @@ import "fmt"
 // Kind identifies the lexical class of a token.
 type Kind int
 
-// Token kinds. Keyword kinds are contiguous so IsKeyword is a range check.
+// Token kinds.
 const (
 	ILLEGAL Kind = iota
 	EOF
@@ -62,7 +62,6 @@ const (
 	MINUSASSIGN // -=
 	INCLUDE     // #include
 
-	keywordStart
 	KwInt
 	KwChar
 	KwVoid
@@ -75,7 +74,6 @@ const (
 	KwBreak
 	KwContinue
 	KwSizeof
-	keywordEnd
 )
 
 var kindNames = map[Kind]string{
@@ -101,9 +99,6 @@ func (k Kind) String() string {
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
-
-// IsKeyword reports whether the kind is a reserved word.
-func (k Kind) IsKeyword() bool { return k > keywordStart && k < keywordEnd }
 
 // Keywords maps reserved words to their kinds.
 var Keywords = map[string]Kind{

@@ -21,6 +21,9 @@ type builder struct {
 	// muByVar maps the variables of the call being built to their mus;
 	// one map serves every call.
 	muByVar map[memssa.MemVar]*memssa.Def
+	// memNodes maps memory def d to its node, memNodes[fns[d.Fn].mem+d.ID],
+	// NoNode until it is built.
+	memNodes []NodeID
 	// lastFn/lastSpan cache the lookup-table block of the function whose
 	// nodes were last looked up: nearly every lookup is in the function
 	// being built.
@@ -72,15 +75,15 @@ func Build(prog *ir.Program, pa *pointer.Result, mem *memssa.Info, opts Options)
 		nmem += sp.nmem
 	}
 	g.regNodes = noNodes(nreg)
-	g.memNodes = noNodes(nmem)
 	// Every node but the roots fills one slot of the lookup tables, so
 	// their size bounds the node table's.
 	g.Nodes = make([]Node, 0, 2+nreg+nmem)
 
 	b := &builder{
-		Graph:   g,
-		callees: make(map[*ir.Function]*calleeInfo),
-		muByVar: make(map[memssa.MemVar]*memssa.Def),
+		Graph:    g,
+		callees:  make(map[*ir.Function]*calleeInfo),
+		muByVar:  make(map[memssa.MemVar]*memssa.Def),
+		memNodes: noNodes(nmem),
 	}
 	b.newNode(Node{Kind: NodeRootT})
 	b.newNode(Node{Kind: NodeRootF})

@@ -8,29 +8,18 @@ import (
 
 // Equivalence partitions VFG nodes into access-equivalence classes: nodes
 // whose dependence edges are identical (same targets, kinds and call
-// sites) necessarily resolve to the same definedness, so resolution can
+// sites) necessarily resolve to the same definedness, so a resolver could
 // run once per class. This is the node-merging technique of Hardekopf &
-// Lin that the paper applies to its VFGs (§4.1).
+// Lin that the paper applies to its VFGs (§4.1). Here the partition only
+// sizes what merging would remove (the ablation's merged-away column):
+// building it costs more than resolving every node.
 type Equivalence struct {
-	rep []NodeID // node id -> representative node id
-	// The union of the user edges of every class member, in CSR form
-	// indexed by representative (targets not remapped; push remaps).
-	userStart []int32
-	users     []Edge
-	classes   int
+	rep     []NodeID // node id -> representative node id
+	classes int
 }
 
 // Rep returns the representative node id of n.
 func (eq *Equivalence) Rep(n NodeID) NodeID { return eq.rep[n] }
-
-// classUsers returns the users of the class represented by rep.
-func (eq *Equivalence) classUsers(rep NodeID) []Edge {
-	return eq.users[eq.userStart[rep]:eq.userStart[rep+1]]
-}
-
-// Classes returns the number of equivalence classes among mergeable
-// nodes.
-func (eq *Equivalence) Classes() int { return eq.classes }
 
 // Merged returns how many nodes were merged away.
 func (eq *Equivalence) Merged(g *Graph) int { return len(g.Nodes) - eq.classes }
@@ -59,21 +48,6 @@ func ComputeAccessEquivalence(g *Graph) *Equivalence {
 			eq.rep[v] = v
 			eq.classes++
 		}
-	}
-	// Count, then fill each class's users in node order.
-	eq.userStart = make([]int32, n+1)
-	for id := range g.Nodes {
-		eq.userStart[eq.rep[id]+1] += int32(len(g.Users(NodeID(id))))
-	}
-	for v := 0; v < n; v++ {
-		eq.userStart[v+1] += eq.userStart[v]
-	}
-	eq.users = make([]Edge, eq.userStart[n])
-	next := make([]int32, n)
-	copy(next, eq.userStart[:n])
-	for id := range g.Nodes {
-		r := eq.rep[id]
-		next[r] += int32(copy(eq.users[next[r]:], g.Users(NodeID(id))))
 	}
 	return eq
 }

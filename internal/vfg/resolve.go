@@ -32,21 +32,13 @@ type Gamma struct {
 	g      *Graph
 	n      int // node count at resolution time
 	bottom *bitset.Set
-	// eq is set when resolution ran over access-equivalence classes.
-	eq *Equivalence
 }
 
 // Of returns the state of node n. Nodes unknown to the resolution
 // (NoNode, or ids past the node count it ran against) are
 // conservatively ⊥.
 func (gm *Gamma) Of(n NodeID) State {
-	if n < 0 {
-		return Bottom
-	}
-	if gm.eq != nil {
-		n = gm.eq.Rep(n)
-	}
-	if int(n) >= gm.n || gm.bottom.Has(int(n)) {
+	if n < 0 || int(n) >= gm.n || gm.bottom.Has(int(n)) {
 		return Bottom
 	}
 	return Top
@@ -60,31 +52,12 @@ func (gm *Gamma) OfValue(v ir.Value) State {
 	return Top
 }
 
-// BottomBits exposes the ⊥ set as a dense bit vector over node ids, or
-// nil when the resolution ran over merged equivalence classes (the bits
-// then live on class representatives and are not meaningful per node).
-// The returned set must be treated as read-only.
-func (gm *Gamma) BottomBits() *bitset.Set {
-	if gm.eq != nil {
-		return nil
-	}
-	return gm.bottom
-}
+// BottomBits exposes the ⊥ set as a dense bit vector over node ids. The
+// returned set must be treated as read-only.
+func (gm *Gamma) BottomBits() *bitset.Set { return gm.bottom }
 
 // BottomCount returns the number of ⊥ nodes.
-func (gm *Gamma) BottomCount() int {
-	if gm.eq == nil {
-		return gm.bottom.Count()
-	}
-	// Under merging, ⊥ bits live on class representatives; count members.
-	n := 0
-	for id := range gm.g.Nodes {
-		if gm.Of(NodeID(id)) == Bottom {
-			n++
-		}
-	}
-	return n
-}
+func (gm *Gamma) BottomCount() int { return gm.bottom.Count() }
 
 // ResolveOptions tunes definedness resolution.
 type ResolveOptions struct {
@@ -92,10 +65,6 @@ type ResolveOptions struct {
 	// §3.3's context sensitivity): every interprocedural edge is treated
 	// like an intraprocedural one.
 	ContextInsensitive bool
-	// MergeEquivalent resolves over access-equivalence classes instead of
-	// individual nodes (the node-merging of §4.1). The resulting Γ is
-	// identical; resolution visits fewer states.
-	MergeEquivalent bool
 	// Cut filters dependence edges: an edge (from, to) for which it
 	// returns true is treated as replaced by from → T (Opt II's
 	// Algorithm 1 rewiring).
@@ -139,18 +108,6 @@ func ResolveWith(g *Graph, opts ResolveOptions) *Gamma {
 	nn := len(g.Nodes)
 	gm := &Gamma{g: g, n: nn, bottom: bitset.New(nn)}
 
-	// Access-equivalence merging: resolve per class representative.
-	// Edge cuts key on individual nodes, so merging is disabled under
-	// them (Opt II re-resolution).
-	rep := func(n NodeID) NodeID { return n }
-	usersOf := g.Users
-	if opts.MergeEquivalent && cut == nil {
-		eq := ComputeAccessEquivalence(g)
-		gm.eq = eq
-		rep = eq.Rep
-		usersOf = eq.classUsers
-	}
-
 	// The unknown context: reached nodes, and those still to propagate.
 	unknown := bitset.New(nn)
 	var work []NodeID
@@ -158,7 +115,6 @@ func ResolveWith(g *Graph, opts ResolveOptions) *Gamma {
 		if IsRoot(n) {
 			return
 		}
-		n = rep(n)
 		if unknown.Add(int(n)) {
 			gm.bottom.Add(int(n))
 			work = append(work, n)
@@ -188,13 +144,13 @@ func ResolveWith(g *Graph, opts ResolveOptions) *Gamma {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			gm.bottom.Add(int(v))
-			for _, u := range usersOf(v) {
+			for _, u := range g.Users(v) {
 				if cut != nil && cut(u.To, v) {
 					continue
 				}
 				switch u.Kind {
 				case EdgeIntra:
-					if t := rep(u.To); walked[t] != e && !unknown.Has(int(t)) {
+					if t := u.To; walked[t] != e && !unknown.Has(int(t)) {
 						walked[t] = e
 						stack = append(stack, t)
 					}
@@ -215,7 +171,6 @@ func ResolveWith(g *Graph, opts ResolveOptions) *Gamma {
 		entryIdx[e] = int32(len(exitStart) - 1)
 	}
 	enter := func(e NodeID, site int32) {
-		e = rep(e)
 		if unknown.Has(int(e)) {
 			return
 		}
@@ -249,7 +204,7 @@ func ResolveWith(g *Graph, opts ResolveOptions) *Gamma {
 		}
 		n := work[len(work)-1]
 		work = work[:len(work)-1]
-		for _, e := range usersOf(n) {
+		for _, e := range g.Users(n) {
 			// A user edge from n to e.To corresponds to the dependence
 			// edge e.To → n.
 			if cut != nil && cut(e.To, n) {

@@ -24,7 +24,7 @@ import (
 
 // refSettings are the resolution options each graph is checked under:
 // no cut, three pseudo-random cuts (Opt II's re-resolution filters edges
-// the same way), the §3.3 ablation and the §4.1 node merging.
+// the same way) and the §3.3 ablation.
 var refSettings = []struct {
 	name string
 	opts vfg.ResolveOptions
@@ -34,7 +34,6 @@ var refSettings = []struct {
 	{"cut2", vfg.ResolveOptions{Cut: randomCut(2, 5)}},
 	{"cut3", vfg.ResolveOptions{Cut: randomCut(3, 13)}},
 	{"context-insensitive", vfg.ResolveOptions{ContextInsensitive: true}},
-	{"merged", vfg.ResolveOptions{MergeEquivalent: true}},
 }
 
 // checkMatchesReference builds both graph variants of prog and compares

@@ -45,18 +45,6 @@ func BenchmarkResolve(b *testing.B) {
 	}
 }
 
-// BenchmarkResolveMerged resolves over access-equivalence classes.
-func BenchmarkResolveMerged(b *testing.B) {
-	g := benchGraph(b, "mesa")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gm := vfg.ResolveWith(g, vfg.ResolveOptions{MergeEquivalent: true})
-		if gm.BottomCount() == 0 {
-			b.Fatal("no ⊥ nodes")
-		}
-	}
-}
-
 // BenchmarkResolveContextInsensitive is the §3.3 ablation's resolution.
 func BenchmarkResolveContextInsensitive(b *testing.B) {
 	g := benchGraph(b, "mesa")

@@ -21,18 +21,6 @@ func referenceResolveWith(g *Graph, opts ResolveOptions) *Gamma {
 	nn := len(g.Nodes)
 	gm := &Gamma{g: g, n: nn, bottom: bitset.New(nn)}
 
-	// Access-equivalence merging: resolve per class representative.
-	// Edge cuts key on individual nodes, so merging is disabled under
-	// them (Opt II re-resolution).
-	rep := func(n NodeID) NodeID { return n }
-	usersOf := g.Users
-	if opts.MergeEquivalent && cut == nil {
-		eq := ComputeAccessEquivalence(g)
-		gm.eq = eq
-		rep = eq.Rep
-		usersOf = eq.classUsers
-	}
-
 	// Context ids: 0 = unknown, otherwise the graph's dense call-site id,
 	// which every call and return edge carries.
 	numCtx := g.NumSites() + 1
@@ -75,7 +63,6 @@ func referenceResolveWith(g *Graph, opts ResolveOptions) *Gamma {
 		if IsRoot(n) {
 			return
 		}
-		n = rep(n)
 		if seen(n, ctx) {
 			return
 		}
@@ -94,7 +81,7 @@ func referenceResolveWith(g *Graph, opts ResolveOptions) *Gamma {
 	for len(work) > 0 {
 		s := work[len(work)-1]
 		work = work[:len(work)-1]
-		for _, e := range usersOf(s.node) {
+		for _, e := range g.Users(s.node) {
 			// A user edge from s.node to e.To corresponds to the
 			// dependence edge e.To → s.node.
 			if cut != nil && cut(e.To, s.node) {

@@ -181,11 +181,11 @@ type Graph struct {
 	deps, users         []Edge
 
 	// fns locates each function's block of the dense lookup tables:
-	// register r's node is regNodes[fns[r.Fn].reg+r.ID] and memory def
-	// d's is memNodes[fns[d.Fn].mem+d.ID], NoNode where nothing was built.
+	// register r's node is regNodes[fns[r.Fn].reg+r.ID], NoNode where
+	// nothing was built. Memory defs are looked up only during
+	// construction (builder.memNodes).
 	fns      map[*ir.Function]fnSpan
 	regNodes []NodeID
-	memNodes []NodeID
 
 	// sites[id] is the call site with dense id id, numbered from 1 in the
 	// order construction first gave a site an edge; sites[0] is nil, the
@@ -221,16 +221,6 @@ func (g *Graph) RegNode(r *ir.Register) NodeID {
 		return NoNode
 	}
 	return g.regNodes[sp.reg+int32(r.ID)]
-}
-
-// MemNode returns the node of a memory SSA definition, or NoNode if the
-// graph does not model it (always, on top-level-only graphs).
-func (g *Graph) MemNode(d *memssa.Def) NodeID {
-	sp, ok := g.fns[d.Fn]
-	if !ok || d.ID >= sp.nmem {
-		return NoNode
-	}
-	return g.memNodes[sp.mem+d.ID]
 }
 
 // Deps returns the nodes n's value flows from. The slice aliases the

@@ -8,22 +8,20 @@ import (
 	"testing"
 
 	"github.com/valueflow/usher"
-	"github.com/valueflow/usher/internal/instrument"
 	"github.com/valueflow/usher/internal/ir"
-	"github.com/valueflow/usher/internal/memssa"
 	"github.com/valueflow/usher/internal/passes"
-	"github.com/valueflow/usher/internal/pointer"
 	"github.com/valueflow/usher/internal/randprog"
-	"github.com/valueflow/usher/internal/vfg"
 	"github.com/valueflow/usher/internal/workload"
 )
 
-// The pipeline A/B harness (modelled on internal/pointer's solver A/B
-// test): wiredAnalyze reproduces the pre-pass-manager analysis flow — the
-// stages hand-wired in sequence with the old `cfg >=` capability dispatch
-// — and every test below demands that the pass-manager Session produces
-// exactly the same plans, definedness, and optimization statistics. The
-// refactor is behavior-preserving or these fail.
+// The pipeline A/B harness: side A analyzes each configuration with a
+// standalone usher.Analyze, so no artifact is shared between
+// configurations; side B analyzes every configuration in turn from one
+// Session, on its own compile of the same program. Every test below
+// demands the same plans, definedness and optimization statistics from
+// both, so a pass that mutates a shared artifact shows up as a
+// divergence. TestAnalysisGolden pins the figures themselves, on the same
+// inputs, to the values the hand-wired pre-pass-manager flow produced.
 
 // abResult is the comparable essence of one configuration's analysis.
 type abResult struct {
@@ -34,34 +32,6 @@ type abResult struct {
 	ChecksElided   int
 }
 
-// wiredAnalyze is the old flow: pointer analysis, memory SSA, VFG build,
-// resolve, then Full or Guided emission, dispatched by config ordering
-// (the `cfg >=` comparisons the config-capabilities table replaced).
-func wiredAnalyze(prog *ir.Program, cfg usher.Config) *usher.Analysis {
-	pa := pointer.Analyze(prog)
-	mem := memssa.Build(prog, pa)
-	topLevelOnly := cfg == usher.ConfigUsherTL
-	g := vfg.Build(prog, pa, mem, vfg.Options{TopLevelOnly: topLevelOnly})
-	gm := vfg.Resolve(g)
-	a := &usher.Analysis{Config: cfg, Prog: prog, Pointer: pa, Mem: mem, Graph: g, Gamma: gm}
-	if cfg == usher.ConfigMSan {
-		a.Plan = instrument.Full(prog)
-		return a
-	}
-	res := instrument.Guided(cfg.String(), g, gm, instrument.GuidedOptions{
-		OptI:       cfg >= usher.ConfigUsherOptI,
-		OptII:      cfg >= usher.ConfigUsherFull,
-		OptIII:     cfg >= usher.ConfigUsherOptIII,
-		MemoryFull: cfg == usher.ConfigUsherTL,
-	})
-	a.Plan = res.Plan
-	a.Gamma = res.Gamma
-	a.MFCsSimplified = res.MFCsSimplified
-	a.Redirected = res.Redirected
-	a.ChecksElided = res.ChecksElided
-	return a
-}
-
 func summarize(a *usher.Analysis) abResult {
 	return abResult{
 		Fingerprint:    a.Plan.Fingerprint(),
@@ -70,15 +40,6 @@ func summarize(a *usher.Analysis) abResult {
 		Redirected:     a.Redirected,
 		ChecksElided:   a.ChecksElided,
 	}
-}
-
-func readFile(t *testing.T, path string) string {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(data)
 }
 
 func abCompile(t *testing.T, file, src string, level passes.Level) *ir.Program {
@@ -93,25 +54,28 @@ func abCompile(t *testing.T, file, src string, level passes.Level) *ir.Program {
 	return prog
 }
 
-// abCheck compares the wired and pipeline analyses of one program under
-// every extended configuration. Compilation is repeated per flow so the
-// two sides share nothing.
-func abCheck(t *testing.T, name, src string, level passes.Level) {
+// abCheck compares the standalone and session analyses of one program
+// under every extended configuration and returns both sides' analyses in
+// usher.ExtendedConfigs order.
+func abCheck(t *testing.T, name string, standaloneProg, sessionProg *ir.Program) (standalone, session []*usher.Analysis) {
 	t.Helper()
-	wiredProg := abCompile(t, name, src, level)
-	pipeProg := abCompile(t, name, src, level)
-	s := usher.NewSession(pipeProg)
+	s := usher.NewSession(sessionProg)
 	for _, cfg := range usher.ExtendedConfigs {
-		want := summarize(wiredAnalyze(wiredProg, cfg))
-		an, err := s.Analyze(cfg)
+		a, err := usher.Analyze(standaloneProg, cfg)
 		if err != nil {
-			t.Fatalf("%s/%s: pipeline analyze: %v", name, cfg, err)
+			t.Fatalf("%s/%s: standalone analyze: %v", name, cfg, err)
 		}
-		got := summarize(an)
-		if got != want {
-			t.Errorf("%s/%s: pipeline diverges from hand-wired flow:\nwired:    %+v\npipeline: %+v", name, cfg, want, got)
+		b, err := s.Analyze(cfg)
+		if err != nil {
+			t.Fatalf("%s/%s: session analyze: %v", name, cfg, err)
 		}
+		if want, got := summarize(a), summarize(b); got != want {
+			t.Errorf("%s/%s: session diverges from standalone analysis:\nstandalone: %+v\nsession:    %+v", name, cfg, want, got)
+		}
+		standalone = append(standalone, a)
+		session = append(session, b)
 	}
+	return standalone, session
 }
 
 // TestPipelineABCorpus covers the hand-written example corpus, including
@@ -125,26 +89,23 @@ func TestPipelineABCorpus(t *testing.T) {
 	for _, file := range files {
 		file := file
 		t.Run(filepath.Base(file), func(t *testing.T) {
-			src := readFile(t, file)
-			abCheck(t, file, src, passes.O0IM)
-
-			// Dynamic A/B: run the wired plan and the pipeline plan and
-			// compare the reported warning sites.
-			wiredProg := abCompile(t, file, src, passes.O0IM)
-			pipeProg := abCompile(t, file, src, passes.O0IM)
-			s := usher.NewSession(pipeProg)
-			for _, cfg := range usher.ExtendedConfigs {
-				wired := wiredAnalyze(wiredProg, cfg)
-				wres, err := wired.Run(usher.RunOptions{})
+			data, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := string(data)
+			as, bs := abCheck(t, file, abCompile(t, file, src, passes.O0IM), abCompile(t, file, src, passes.O0IM))
+			for i, cfg := range usher.ExtendedConfigs {
+				ares, err := as[i].Run(usher.RunOptions{})
 				if err != nil {
-					t.Fatalf("%s: wired run: %v", cfg, err)
+					t.Fatalf("%s: standalone run: %v", cfg, err)
 				}
-				pres, err := s.MustAnalyze(cfg).Run(usher.RunOptions{})
+				bres, err := bs[i].Run(usher.RunOptions{})
 				if err != nil {
-					t.Fatalf("%s: pipeline run: %v", cfg, err)
+					t.Fatalf("%s: session run: %v", cfg, err)
 				}
-				if !reflect.DeepEqual(wres.ShadowWarnings, pres.ShadowWarnings) {
-					t.Errorf("%s: warning sites diverge:\nwired:    %v\npipeline: %v", cfg, wres.ShadowWarnings, pres.ShadowWarnings)
+				if !reflect.DeepEqual(ares.ShadowWarnings, bres.ShadowWarnings) {
+					t.Errorf("%s: warning sites diverge:\nstandalone: %v\nsession:    %v", cfg, ares.ShadowWarnings, bres.ShadowWarnings)
 				}
 			}
 		})
@@ -162,12 +123,13 @@ func TestPipelineABWorkloads(t *testing.T) {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
-			abCheck(t, p.Name+".c", workload.Generate(p), passes.O0IM)
+			src := workload.Generate(p)
+			abCheck(t, p.Name, abCompile(t, p.Name+".c", src, passes.O0IM), abCompile(t, p.Name+".c", src, passes.O0IM))
 		})
 	}
 }
 
-// TestPipelineABRandom sweeps generated programs through both flows.
+// TestPipelineABRandom sweeps generated programs through both sides.
 func TestPipelineABRandom(t *testing.T) {
 	seeds := 500
 	if testing.Short() {
@@ -176,30 +138,13 @@ func TestPipelineABRandom(t *testing.T) {
 	for seed := 0; seed < seeds; seed++ {
 		src := randprog.Generate(int64(seed), randprog.DefaultOptions)
 		name := fmt.Sprintf("seed%d.c", seed)
-		wiredProg, err := usher.Compile(name, src)
+		standaloneProg, err := usher.Compile(name, src)
 		if err != nil {
 			continue // generator can emit ill-typed programs; not this test's concern
 		}
-		if err := passes.Apply(wiredProg, passes.O0IM); err != nil {
+		if err := passes.Apply(standaloneProg, passes.O0IM); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		pipeProg, err := usher.Compile(name, src)
-		if err != nil {
-			t.Fatalf("seed %d: recompile: %v", seed, err)
-		}
-		if err := passes.Apply(pipeProg, passes.O0IM); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		s := usher.NewSession(pipeProg)
-		for _, cfg := range usher.ExtendedConfigs {
-			want := summarize(wiredAnalyze(wiredProg, cfg))
-			an, err := s.Analyze(cfg)
-			if err != nil {
-				t.Fatalf("seed %d/%s: %v", seed, cfg, err)
-			}
-			if got := summarize(an); got != want {
-				t.Errorf("seed %d/%s: pipeline diverges:\nwired:    %+v\npipeline: %+v", seed, cfg, want, got)
-			}
-		}
+		abCheck(t, name, standaloneProg, abCompile(t, name, src, passes.O0IM))
 	}
 }

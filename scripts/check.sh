@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full verification: build, vet, format check, tests, extended fuzz.
+# Full verification: build, vet, format check, tests (perfbench's too),
+# extended fuzz, differential campaign.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,6 +18,9 @@ go vet ./...
 
 echo "== test =="
 go test ./...
+
+echo "== perfbench test (its own module) =="
+(cd perfbench && go test ./...)
 
 echo "== extended fuzz (1000 seeds) =="
 USHER_FUZZ_SEEDS=1000 go test -run TestExtendedFuzz .

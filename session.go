@@ -121,18 +121,3 @@ func (s *Session) MustAnalyze(cfg Config) *Analysis {
 // concurrent requests to one failure, but a transient fault no longer
 // poisons the session forever. Returns the number of evicted failures.
 func (s *Session) EvictErrors() int { return s.store.EvictErrors() }
-
-// AnalyzeAll analyzes every configuration in cfgs, reusing the shared
-// artifacts, and returns the results in the same order. The first
-// configuration that fails aborts the sweep.
-func (s *Session) AnalyzeAll(cfgs []Config) ([]*Analysis, error) {
-	out := make([]*Analysis, len(cfgs))
-	for i, cfg := range cfgs {
-		a, err := s.Analyze(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = a
-	}
-	return out, nil
-}

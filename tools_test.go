@@ -60,9 +60,9 @@ func TestUshercCLI(t *testing.T) {
 	}
 
 	// Workload mode with source dump.
-	out, err = exec.Command(bin, "-dump-src", "-workload", "mcf").CombinedOutput()
+	out, err = exec.Command(bin, "-dump", "src", "-workload", "mcf").CombinedOutput()
 	if err != nil {
-		t.Fatalf("usherc -dump-src: %v\n%s", err, out)
+		t.Fatalf("usherc -dump src: %v\n%s", err, out)
 	}
 	if !strings.Contains(string(out), "int kernel_0()") {
 		t.Errorf("workload source not dumped:\n%.300s", out)
@@ -96,16 +96,16 @@ func TestUshercCLI(t *testing.T) {
 	}
 }
 
-// TestVfgDumpCLI checks the dump tool produces its sections and valid
-// DOT.
+// TestVfgDumpCLI checks that usherc -dump prints each analysis artifact
+// under its header and the value-flow graph as valid DOT alone.
 func TestVfgDumpCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	bin := buildTool(t, "cmd/vfg-dump")
-	out, err := exec.Command(bin, "-ir", "-pts", "-memssa", "-vfg", "testdata/linkedlist.c").CombinedOutput()
+	bin := buildTool(t, "cmd/usherc")
+	out, err := exec.Command(bin, "-dump", "ir,pts,memssa,vfg", "testdata/linkedlist.c").CombinedOutput()
 	if err != nil {
-		t.Fatalf("vfg-dump: %v\n%s", err, out)
+		t.Fatalf("usherc -dump: %v\n%s", err, out)
 	}
 	text := string(out)
 	for _, want := range []string{"=== IR", "=== points-to", "=== memory SSA", "=== value-flow graph", "chi(", "mu("} {
@@ -113,11 +113,11 @@ func TestVfgDumpCLI(t *testing.T) {
 			t.Errorf("dump missing %q", want)
 		}
 	}
-	out, err = exec.Command(bin, "-dot", "testdata/matrix.c").CombinedOutput()
+	out, err = exec.Command(bin, "-dump", "dot", "testdata/matrix.c").CombinedOutput()
 	if err != nil {
-		t.Fatalf("vfg-dump -dot: %v\n%s", err, out)
+		t.Fatalf("usherc -dump dot: %v\n%s", err, out)
 	}
-	if !strings.HasPrefix(string(out), "digraph vfg {") || !strings.Contains(string(out), "->") {
+	if !strings.HasPrefix(string(out), "digraph vfg {") || !strings.HasSuffix(string(out), "}\n") || !strings.Contains(string(out), "->") {
 		t.Errorf("not DOT output:\n%.200s", out)
 	}
 }
